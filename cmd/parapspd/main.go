@@ -19,8 +19,8 @@
 // blocking readers; every response carries the answering snapshot's
 // version in X-Parapsp-Graph-Version.
 //
-// SIGINT/SIGTERM drain gracefully: in-flight requests complete, background
-// refinements finish, then the process exits 0.
+// SIGINT/SIGTERM drain gracefully: in-flight requests and mutations
+// complete, then the process exits 0.
 package main
 
 import (
@@ -49,8 +49,7 @@ func main() {
 		kernelSel    = flag.String("kernel", "", "subset-solver SSSP kernel: "+strings.Join(core.Kernels(), "|")+", or "+core.KernelAuto+" to pick per solve from graph features (default: static policy)")
 		addr         = flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
 		workers      = flag.Int("workers", 1, "solver workers per subset solve")
-		cacheRows    = flag.Int("cache-rows", 0, "deprecated alias for -cache-bytes: hot-tier capacity in rows (4*n bytes per row; 0 lets -cache-bytes govern, both 0 defaults to 256 rows)")
-		cacheBytes   = flag.Int64("cache-bytes", 0, "hot-tier (T1) byte budget for uncompressed rows (0: derive from -cache-rows)")
+		cacheBytes   = flag.Int64("cache-bytes", 0, "hot-tier (T1) byte budget for uncompressed rows, 4*n bytes per row (0: 256 rows)")
 		warmBytes    = flag.Int64("warm-bytes", 0, "warm-tier (T2) byte budget for delta-compressed rows (0: 4x the hot budget, negative disables)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "cold-tier (T3) byte budget for frames spilled to disk (0 disables; requires -spill-dir)")
 		spillDir     = flag.String("spill-dir", "", "directory of the cold-tier arena file (reopened on restart to warm-start the tier)")
@@ -93,14 +92,13 @@ func main() {
 
 	start = time.Now()
 	s, err := serve.New(g, serve.Config{
-		Workers:        *workers,
-		Kernel:         *kernelSel,
-		CacheRows:      *cacheRows,
-		CacheBytes:     *cacheBytes,
-		WarmBytes:      *warmBytes,
-		SpillBytes:     *spillBytes,
-		SpillDir:       *spillDir,
-		OraclePath:     *oracleFile,
+		Workers:         *workers,
+		Kernel:          *kernelSel,
+		CacheBytes:      *cacheBytes,
+		WarmBytes:       *warmBytes,
+		SpillBytes:      *spillBytes,
+		SpillDir:        *spillDir,
+		OraclePath:      *oracleFile,
 		Landmarks:       *landmarks,
 		MaxInflight:     *maxInflight,
 		BestEffortShare: *beShare,
@@ -147,9 +145,9 @@ func main() {
 		fatal(err)
 	}
 	snap := s.Metrics().Snapshot()
-	fmt.Printf("parapspd: drained cleanly (requests=%d cache hits=%d misses=%d evictions=%d)\n",
-		snap["serve.requests"], snap["serve.cache.hits"], snap["serve.cache.misses"],
-		snap["serve.cache.evictions"])
+	fmt.Printf("parapspd: drained cleanly (requests=%d t1_hits=%d t2_promotes=%d t3_promotes=%d misses=%d demotes=%d)\n",
+		snap["admit.admitted"], snap["serve.store.t1_hits"], snap["serve.store.t2_promotes"],
+		snap["serve.store.t3_promotes"], snap["serve.store.misses"], snap["serve.store.demotes"])
 }
 
 func fatal(err error) {

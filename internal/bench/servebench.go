@@ -53,8 +53,10 @@ type ServeReport struct {
 	// Latencies are client-observed, per HTTP request, over loopback.
 	P50Ns int64 `json:"p50_ns"`
 	P99Ns int64 `json:"p99_ns"`
-	// HitRate is serve.cache.hits / serve.cache.lookups at the end of the
-	// run; ApproxShare the fraction of answers served from oracle bounds.
+	// HitRate is serve.store.t1_hits / serve.cache.lookups at the end of
+	// the run; ApproxShare the fraction of answers served from oracle
+	// bounds; Throttled the admission layer's quota and inflight
+	// rejections.
 	HitRate     float64          `json:"hit_rate"`
 	ApproxShare float64          `json:"approx_share"`
 	Throttled   int64            `json:"throttled"`
@@ -164,11 +166,11 @@ func BuildServeReport(cfg Config) (*ServeReport, error) {
 		ElapsedNs:  elapsed.Nanoseconds(),
 		P50Ns:      percentile(all, 50),
 		P99Ns:      percentile(all, 99),
-		Throttled:  snap["serve.throttled"],
+		Throttled:  snap["admit.rejected_quota"] + snap["admit.rejected_inflight"],
 		Metrics:    snap,
 	}
 	if lk := snap["serve.cache.lookups"]; lk > 0 {
-		rep.HitRate = float64(snap["serve.cache.hits"]) / float64(lk)
+		rep.HitRate = float64(snap["serve.store.t1_hits"]) / float64(lk)
 	}
 	if q := rep.Queries; q > 0 {
 		rep.ApproxShare = float64(snap["serve.answers.approx"]) / float64(q)

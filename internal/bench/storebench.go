@@ -229,7 +229,7 @@ func BuildStoreReport(cfg Config) (*StoreReport, error) {
 func storeWorkload(s *serve.Server, n, warmed, hotSrc int, seed int64) ([]int64, error) {
 	ctx := context.Background()
 	for u := 0; u < warmed; u++ {
-		if _, err := s.Dist(ctx, int32(u), int32((u+7)%n), 0); err != nil {
+		if _, _, _, err := s.BatchPinned(ctx, []serve.Query{{U: int32(u), V: int32((u + 7) % n)}}, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -251,7 +251,7 @@ func storeWorkload(s *serve.Server, n, warmed, hotSrc int, seed int64) ([]int64,
 		}
 		v := int32(rng.Intn(n))
 		start := time.Now()
-		if _, err := s.Dist(ctx, u, v, 0); err != nil {
+		if _, _, _, err := s.BatchPinned(ctx, []serve.Query{{U: u, V: v}}, 0); err != nil {
 			return nil, err
 		}
 		lats = append(lats, time.Since(start).Nanoseconds())
@@ -277,10 +277,11 @@ func storeExactCheck(s *serve.Server, g *graph.Graph, n int, cfg Config, rep *St
 	for _, u := range srcs {
 		for j := 0; j < 16; j++ {
 			v := int32(rng.Intn(n))
-			ans, err := s.Dist(ctx, u, v, 0)
+			as, _, _, err := s.BatchPinned(ctx, []serve.Query{{U: u, V: v}}, 0)
 			if err != nil {
 				return err
 			}
+			ans := as[0]
 			want := int64(-1)
 			if d := truth.At(u, v); d != matrix.Inf {
 				want = int64(d)

@@ -80,7 +80,7 @@ func clusterMatrix(t *testing.T, g *graph.Graph) *matrix.Matrix {
 	var shards []Shard
 	for i := 0; i < 3; i++ {
 		s, err := serve.New(g, serve.Config{
-			Workers: 2, CacheRows: n, MaxBatch: n, Landmarks: -1,
+			Workers: 2, CacheBytes: int64(n) * int64(n) * 4, MaxBatch: n, Landmarks: -1,
 			ShardID: fmt.Sprintf("s%d", i),
 		})
 		if err != nil {

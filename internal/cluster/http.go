@@ -92,10 +92,9 @@ type errorBody struct {
 // so routers and shards cannot drift apart.
 func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
 	if d, ok := admit.Classify(err); ok {
-		switch {
-		case errors.Is(err, admit.ErrQuota), errors.Is(err, admit.ErrInflight):
-			r.m.throttled.Add(1)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// The router's own quota and inflight rejections are counted by
+		// its admitter (admit.rejected_quota, admit.rejected_inflight).
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			r.m.deadlines.Add(1)
 		}
 		admit.WriteDecision(w, d)

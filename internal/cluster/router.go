@@ -132,7 +132,7 @@ func (c Config) withDefaults() Config {
 // one terminal bucket, so routed == merged + hedge_cancelled + failed.
 type routerMetrics struct {
 	requests, badRequests, unavailable, deadlines *obs.Counter
-	throttled, badUpstream                        *obs.Counter
+	badUpstream                                   *obs.Counter
 	routed, merged, hedgeCancelled, failed        *obs.Counter
 	hedges, retries                               *obs.Counter
 	probes, probeFailures, probeMismatch          *obs.Counter
@@ -146,9 +146,6 @@ func newRouterMetrics(reg *obs.Metrics) *routerMetrics {
 		badRequests: reg.Counter("cluster.bad_requests"),
 		unavailable: reg.Counter("cluster.unavailable"),
 		deadlines:   reg.Counter("cluster.deadlines"),
-		// throttled counts the router's own admission rejections (quota or
-		// inflight), the edge mirror of serve.throttled.
-		throttled:   reg.Counter("cluster.throttled"),
 		badUpstream: reg.Counter("cluster.bad_upstream"),
 		// The attempt ledger: routed counts every subrequest sent to a
 		// shard; merged the one whose response was used, hedge_cancelled

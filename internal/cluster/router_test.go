@@ -327,7 +327,7 @@ func TestRouterDeadlineNeverHangs(t *testing.T) {
 func TestRouterDrainingShardLeavesRing(t *testing.T) {
 	g := testGraph(t, 64, 11)
 	mkShard := func(id string) (*serve.Server, *httptest.Server) {
-		s, err := serve.New(g, serve.Config{Workers: 1, CacheRows: 64, Landmarks: -1, ShardID: id})
+		s, err := serve.New(g, serve.Config{Workers: 1, CacheBytes: 64 * int64(g.N()) * 4, Landmarks: -1, ShardID: id})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func bootShards(t *testing.T, g *graph.Graph, count int) (*Router, []string) {
 	var urls []string
 	for i := 0; i < count; i++ {
 		s, err := serve.New(g, serve.Config{
-			Workers: 1, CacheRows: g.N(), MaxBatch: g.N(), Landmarks: -1,
+			Workers: 1, CacheBytes: int64(g.N()) * int64(g.N()) * 4, MaxBatch: g.N(), Landmarks: -1,
 			ShardID: fmt.Sprintf("s%d", i),
 		})
 		if err != nil {

@@ -133,7 +133,7 @@ func TestClusterChaos(t *testing.T) {
 		d := startDaemon(t, shardBin, "parapspd: listening on ",
 			"-gen", fmt.Sprint(n), "-seed", fmt.Sprint(seed),
 			"-addr", "127.0.0.1:0", "-shard-id", fmt.Sprintf("s%d", i),
-			"-landmarks", "-1", "-workers", "2", "-cache-rows", fmt.Sprint(n))
+			"-landmarks", "-1", "-workers", "2", "-cache-bytes", fmt.Sprint(4*n*n))
 		shards = append(shards, d)
 		shardList = append(shardList, fmt.Sprintf("s%d=%s", i, d.addr))
 	}

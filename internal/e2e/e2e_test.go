@@ -154,7 +154,7 @@ func TestApspbenchSmoke(t *testing.T) {
 // real HTTP query, then sends SIGTERM and asserts a clean drain.
 func TestParapspdSmoke(t *testing.T) {
 	cmd := exec.Command(build(t, "parapspd"),
-		"-gen", "64", "-seed", "7", "-addr", "127.0.0.1:0", "-cache-rows", "16")
+		"-gen", "64", "-seed", "7", "-addr", "127.0.0.1:0", "-cache-bytes", fmt.Sprint(16*64*4))
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -80,9 +80,9 @@ func pickOp(rng *rand.Rand, g *graph.Graph) dyn.EdgeOp {
 // every pinned version's ground truth recomputed with Floyd-Warshall:
 // each answer must match the FW distance at exactly its pinned version,
 // no matter how many mutations landed while the query was in flight.
-// The run must be clean under -race, the cache ledger must reconcile
-// (lookups == hits + misses), and so must the mutation ledger
-// (scanned == retagged + repaired + invalidated).
+// The run must be clean under -race, the row ledger must reconcile
+// (lookups == T1 hits + T1 misses), and so must the mutation ledger
+// (scanned == retagged + repaired + dropped).
 func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 	const (
 		n          = 64
@@ -96,8 +96,8 @@ func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 	}
 	s := newTestServer(t, g0, Config{
 		Workers:     2,
-		CacheRows:   32, // < n: evictions happen alongside reconciliation
-		Landmarks:   -1, // exact answers only: every answer is FW-checkable
+		CacheBytes:  rowsBudget(g0, 32), // < n: evictions happen alongside reconciliation
+		Landmarks:   -1,                 // exact answers only: every answer is FW-checkable
 		MaxInflight: 4 * queryGs,
 	})
 
@@ -253,27 +253,17 @@ func TestDynamicMutateWhileQueryDifferential(t *testing.T) {
 	}
 
 	// Ledgers (the mutating extension of the stress-test reconciliation):
-	// cache counters stay exact under mutation, and the dynamic ledger
-	// accounts for every row the reconciler examined.
+	// row counters stay exact under mutation, and the dynamic ledger
+	// accounts for every row the reconciler examined in every tier.
 	snap := s.Metrics().Snapshot()
-	if snap["serve.cache.lookups"] != snap["serve.cache.hits"]+snap["serve.cache.misses"] {
-		t.Fatalf("cache counters do not reconcile under mutation: lookups=%d hits=%d misses=%d",
-			snap["serve.cache.lookups"], snap["serve.cache.hits"], snap["serve.cache.misses"])
-	}
-	if snap["serve.dyn.scanned"] != snap["serve.dyn.retagged"]+snap["serve.dyn.repaired"]+snap["serve.dyn.invalidated"] {
-		t.Fatalf("dyn ledger does not reconcile: scanned=%d retagged=%d repaired=%d invalidated=%d",
-			snap["serve.dyn.scanned"], snap["serve.dyn.retagged"],
-			snap["serve.dyn.repaired"], snap["serve.dyn.invalidated"])
-	}
+	checkRowLedger(t, snap)
 	if got := snap["serve.dyn.mutations"]; got != mutations {
 		t.Fatalf("serve.dyn.mutations = %d, want %d", got, mutations)
 	}
-	if snap["serve.dyn.retagged"] == 0 || snap["serve.dyn.invalidated"] == 0 {
+	if snap["serve.store.dyn.retagged"] == 0 || snap["serve.store.dyn.dropped"] == 0 {
 		t.Fatalf("reconciler never exercised retag (%d) or invalidate (%d)",
-			snap["serve.dyn.retagged"], snap["serve.dyn.invalidated"])
+			snap["serve.store.dyn.retagged"], snap["serve.store.dyn.dropped"])
 	}
-	// The tiered store reconciles alongside the hot cache: its ledger
-	// must account for every compressed frame a mutation examined.
 	if snap["serve.store.dyn.scanned"] != snap["serve.store.dyn.retagged"]+
 		snap["serve.store.dyn.repaired"]+snap["serve.store.dyn.dropped"] {
 		t.Fatalf("store dyn ledger does not reconcile: scanned=%d retagged=%d repaired=%d dropped=%d",
@@ -292,7 +282,7 @@ func TestVersionPinnedCacheSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gen: %v", err)
 	}
-	s := newTestServer(t, g, Config{Workers: 1, CacheRows: n, Landmarks: -1})
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: rowsBudget(g, n), Landmarks: -1})
 	ctx := context.Background()
 	truth1 := baseline.FloydWarshall(g)
 
@@ -330,7 +320,7 @@ found:
 		t.Fatal("no row-improving insert found in test graph")
 	}
 
-	missesBefore := s.Metrics().Snapshot()["serve.cache.misses"]
+	missesBefore := hotMisses(s.Metrics().Snapshot())
 	res, err := s.ApplyEdge(op)
 	if err != nil {
 		t.Fatalf("ApplyEdge(%v): %v", op, err)
@@ -352,23 +342,17 @@ found:
 		t.Fatal("chosen insert did not actually change src's distances")
 	}
 
-	// The version-1 entry is untouched: exactly version-1 distances, even
+	// The version-1 row is untouched: exactly version-1 distances, even
 	// where version 2 differs — a reader pinned to v never observes v+1.
-	old := s.cache.peek(src, 1)
-	if old == nil {
-		t.Fatal("version-1 row evicted unexpectedly")
-	}
+	old := residentRow(t, s, src, 1)
 	for x := 0; x < n; x++ {
 		if old[x] != truth1.At(int(src), x) {
 			t.Fatalf("version-1 cached row mutated at %d: %d != %d", x, old[x], truth1.At(int(src), x))
 		}
 	}
-	// The version-2 entry was repaired pre-publish: exact for the new
+	// The version-2 row was repaired pre-publish: exact for the new
 	// graph, and answering from it is a hit, not a re-solve.
-	repaired := s.cache.peek(src, 2)
-	if repaired == nil {
-		t.Fatal("reconcile did not carry src's row to version 2")
-	}
+	repaired := residentRow(t, s, src, 2)
 	for x := 0; x < n; x++ {
 		if repaired[x] != truth2.At(int(src), x) {
 			t.Fatalf("repaired row wrong at %d: %d != %d", x, repaired[x], truth2.At(int(src), x))
@@ -381,9 +365,27 @@ found:
 	if want := distToJSON(truth2.At(int(src), n-1)); as[0].Dist != want {
 		t.Fatalf("post-mutation answer %d, want %d", as[0].Dist, want)
 	}
-	if got := s.Metrics().Snapshot()["serve.cache.misses"]; got != missesBefore {
+	if got := hotMisses(s.Metrics().Snapshot()); got != missesBefore {
 		t.Fatalf("repaired row did not serve as a hit: misses %d -> %d", missesBefore, got)
 	}
+}
+
+// residentRow reads src's T1 row at version ver straight from the row
+// store, failing the test if the row is not hot (a solve or a promote
+// would mean the reconcile did not keep or carry it).
+func residentRow(t *testing.T, s *Server, src int32, ver uint64) []matrix.Dist {
+	t.Helper()
+	before := s.Metrics().Snapshot()["serve.store.t1_hits"]
+	rows, err := s.rows.Load(context.Background(), ver, 0, []int32{src}, func([]int32) ([][]matrix.Dist, error) {
+		return nil, fmt.Errorf("row %d at version %d is not resident", src, ver)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Snapshot()["serve.store.t1_hits"]; got != before+1 {
+		t.Fatalf("row %d at version %d did not come from T1", src, ver)
+	}
+	return rows[0]
 }
 
 // TestEdgeEndpoint exercises the HTTP surface of mutations: versions in

@@ -28,7 +28,7 @@ func fuzzServer(t *testing.T) http.Handler {
 		if err != nil {
 			t.Fatalf("gen: %v", err)
 		}
-		fuzzS, err = New(g, Config{Workers: 1, CacheRows: 8, Landmarks: 2})
+		fuzzS, err = New(g, Config{Workers: 1, CacheBytes: rowsBudget(g, 8), Landmarks: 2})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

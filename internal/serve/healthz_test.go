@@ -15,7 +15,7 @@ import (
 // the shard from its ring before clients see the final 503s.
 func TestHealthzClusterPayload(t *testing.T) {
 	g := testGraph(t, 64, 11)
-	s := newTestServer(t, g, Config{Workers: 1, CacheRows: 16, ShardID: "s7"})
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: rowsBudget(g, 16), ShardID: "s7"})
 	h := s.Handler()
 
 	// Same row twice: the second lookup is a cache hit, so the reported

@@ -286,7 +286,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 // healthBody is the /healthz payload. Beyond liveness and graph shape it
 // carries what a cluster router's health prober needs to manage the ring:
 // the draining flag (set the moment Shutdown begins, before the final
-// 503s), the admission load, and the cache hit rate, plus the shard's
+// 503s), the admission load, and the T1 hit rate, plus the shard's
 // configured identity.
 type healthBody struct {
 	Status       string  `json:"status"` // "ok" | "draining"
@@ -304,7 +304,7 @@ type healthBody struct {
 	PremiumInflight    int `json:"premium_inflight"`
 	BestEffortInflight int `json:"besteffort_inflight"`
 	QuotaClients       int `json:"quota_clients"`
-	// Tiered-store residency (additive; zero when the tiers are off).
+	// Row-store residency; cached_rows and cached_bytes are T1's.
 	CachedBytes int64 `json:"cached_bytes"`
 	WarmRows    int   `json:"warm_rows"`
 	WarmBytes   int64 `json:"warm_bytes"`
@@ -324,9 +324,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
+	// The row store's ledger: the share of row lookups T1 answered.
 	hitRate := 0.0
-	if lookups := s.m.lookups.Load(); lookups > 0 {
-		hitRate = float64(s.m.hits.Load()) / float64(lookups)
+	if lookups := s.cfg.Metrics.Counter("serve.cache.lookups").Load(); lookups > 0 {
+		hitRate = float64(s.cfg.Metrics.Counter("serve.store.t1_hits").Load()) / float64(lookups)
 	}
 	st := s.StoreStats()
 	setVersion(w, snap.Version)
@@ -336,7 +337,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Vertices:           s.n,
 		Arcs:               snap.G.NumArcs(),
 		GraphVersion:       snap.Version,
-		CachedRows:         s.CachedRows(),
+		CachedRows:         st.HotRows,
 		Landmarks:          landmarks,
 		Inflight:           s.Inflight(),
 		Draining:           draining,
@@ -344,7 +345,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		PremiumInflight:    s.InflightTier(admit.Premium),
 		BestEffortInflight: s.InflightTier(admit.BestEffort),
 		QuotaClients:       s.QuotaClients(),
-		CachedBytes:        s.CachedBytes(),
+		CachedBytes:        st.HotBytes,
 		WarmRows:           st.WarmRows,
 		WarmBytes:          st.WarmBytes,
 		ColdRows:           st.ColdRows,

@@ -40,7 +40,7 @@ func TestQuickOracleExactAgreement(t *testing.T) {
 		}
 		truth := baseline.FloydWarshall(g)
 		tol := float64(sc.RawTol%8) / 4 // 0, 0.25, ..., 1.75
-		s, err := New(g, Config{Workers: 1, CacheRows: 8, Landmarks: 4})
+		s, err := New(g, Config{Workers: 1, CacheBytes: rowsBudget(g, 8), Landmarks: 4})
 		if err != nil {
 			t.Logf("New: %v", err)
 			return false
@@ -63,7 +63,7 @@ func TestQuickOracleExactAgreement(t *testing.T) {
 			}
 			// Approximate-or-exact query first (the cache may still be
 			// cold for u), then a forced-exact query.
-			ans, err := s.Dist(ctx, u, v, tol)
+			ans, _, err := dist(ctx, s, u, v, tol)
 			if err != nil {
 				t.Logf("Dist approx: %v", err)
 				return false
@@ -83,7 +83,7 @@ func TestQuickOracleExactAgreement(t *testing.T) {
 					return false
 				}
 			}
-			exact, err := s.Dist(ctx, u, v, 0)
+			exact, _, err := dist(ctx, s, u, v, 0)
 			if err != nil {
 				t.Logf("Dist exact: %v", err)
 				return false

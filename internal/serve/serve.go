@@ -3,20 +3,21 @@
 // where the graph is too large to precompute and hold all O(n^2) rows, so
 // distances are computed on demand and reused.
 //
-// A Server owns a versioned graph store (internal/dyn), a tiered distance
-// store, and a landmark oracle (internal/oracle). Completed rows live in
-// three byte-budgeted tiers: a hot LRU of uncompressed rows keyed by
-// (source, graph version) (T1), a warm tier of delta-compressed frames
-// holding what T1 evicts (T2, internal/store), and an optional cold tier
-// spilling frames to a disk-backed arena (T3) — so the serveable working
-// set scales far past the O(hot_rows*n) RAM wall. Queries resident in no
-// tier run the subset solver (core.SolveSubset) — batched per request, so
-// the row-reuse dynamic programming that powers ParAPSP still fires
-// between the sources of one batch — and the hot cache deduplicates
-// concurrent solves of the same source (single flight). In front of all
-// three tiers sits the sketch answer path: a query with tolerance tol > 0
-// whose landmark bounds certify upper <= (1+tol)*lower is answered from
-// the O(k*n) oracle alone, touching no row tier at all.
+// A Server owns a versioned graph store (internal/dyn), a row store
+// (internal/store), and a landmark oracle (internal/oracle). The row store
+// holds completed rows keyed by (source, graph version) in three
+// byte-budgeted tiers: a hot LRU of uncompressed rows (T1), a warm tier
+// of delta-compressed frames holding what T1 evicts (T2), and an optional
+// cold tier spilling frames to a disk-backed arena (T3) — so the
+// serveable working set scales far past the O(hot_rows*n) RAM wall. Rows
+// resident in no tier are computed by the subset solver (core.SolveSubset)
+// through the solve callback the server hands the store — batched per
+// request, so the row-reuse dynamic programming that powers ParAPSP still
+// fires between the sources of one batch — and the store deduplicates
+// concurrent promotes and solves of the same source (single flight). In
+// front of all three tiers sits the sketch answer path: a query with
+// tolerance tol > 0 whose landmark bounds certify upper <= (1+tol)*lower
+// is answered from the O(k*n) oracle alone, touching no row tier at all.
 //
 // The graph is dynamic: ApplyEdge (HTTP: POST /edge) inserts, deletes, or
 // reweights an edge, publishing a new copy-on-write snapshot with a
@@ -24,10 +25,10 @@
 // admission and answer entirely against it — a mutation never blocks a
 // reader, and an in-flight query keeps its pinned version even if ten
 // mutations land while it runs. Before a new version becomes visible, the
-// mutation reconciles the row cache: rows the changed edge cannot affect
-// are re-tagged to the new version for free, rows an improved edge can
-// lower are repaired in place by a bounded SSSP seeded at the edge
-// (dyn.RepairImprove), and rows invalidated by a delete/increase are
+// mutation reconciles every tier of the row store: rows the changed edge
+// cannot affect are re-tagged to the new version for free, rows an
+// improved edge can lower are repaired by a bounded SSSP seeded at the
+// edge (dyn.RepairImprove), and rows invalidated by a delete/increase are
 // simply not carried forward — the next query re-solves them. Every
 // response carries the answering version in the X-Parapsp-Graph-Version
 // header.
@@ -51,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -78,15 +78,15 @@ var (
 )
 
 // Config tunes a Server. The zero value serves exact queries with one
-// solver worker, a 256-row cache, 16 landmarks, and a 30-second request
-// timeout.
+// solver worker, a 256-row hot tier, 16 landmarks, and a 30-second
+// request timeout.
 type Config struct {
 	// Workers is the worker count of each subset solve (and the oracle
 	// build). Values below 1 mean 1.
 	Workers int
 	// CacheBytes budgets the hot tier (T1): uncompressed distance rows at
-	// 4*n bytes each, byte-accounted LRU. 0 derives the budget from the
-	// deprecated CacheRows (below); at least one row is always retained.
+	// 4*n bytes each, byte-accounted LRU. <= 0 means 256 rows (256*4*n
+	// bytes); at least one row is always retained.
 	CacheBytes int64
 	// WarmBytes budgets the warm tier (T2): delta-compressed frames of
 	// evicted rows, decompressed back into T1 on demand. 0 defaults to
@@ -115,12 +115,6 @@ type Config struct {
 	// actually ran. Validated at New time against the served graph, so an
 	// unsupported kernel fails at startup, not per query.
 	Kernel string
-	// CacheRows is the hot-tier capacity in distance rows.
-	//
-	// Deprecated: use CacheBytes. CacheRows is kept as an alias — when
-	// CacheBytes is 0, the budget is CacheRows rows at 4*n bytes each
-	// (default 256 rows).
-	CacheRows int
 	// Landmarks is the oracle's landmark count (default 16); negative
 	// disables the oracle entirely, making every query exact. The oracle
 	// only answers at the graph version it was built for: the first edge
@@ -167,12 +161,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
-	if c.CacheRows == 0 {
-		c.CacheRows = 256
-	}
-	if c.CacheRows < 1 {
-		c.CacheRows = 1
-	}
 	if c.Landmarks == 0 {
 		c.Landmarks = 16
 	}
@@ -195,41 +183,20 @@ func (c Config) withDefaults() Config {
 }
 
 // metrics holds the server's counter handles, looked up once so the hot
-// path only does atomic adds. Two ledgers are pinned by the stress tests:
-// the cache invariant lookups == hits + misses (coalesced is a subset of
-// hits), and the mutation invariant dyn.scanned == dyn.retagged +
-// dyn.repaired + dyn.invalidated (every cached row a mutation examines
-// lands in exactly one bucket).
+// path only does atomic adds. The row ledger (serve.cache.* and
+// serve.store.*) belongs to the row store; the server adds only its
+// sketch answers to it.
 type metrics struct {
-	lookups, hits, misses, coalesced, evictions *obs.Counter
-	solves, solvedRows                          *obs.Counter
-	batchSolves, scalarSolves                   *obs.Counter
-	requests, throttled, timeouts, badRequests  *obs.Counter
-	exact, approx                               *obs.Counter
-
-	mutations, mutationConflicts         *obs.Counter
-	dynScanned, dynRetagged, dynRepaired *obs.Counter
-	dynRepairedLabels, dynInvalidated    *obs.Counter
-
-	// Tiered-store ledger: every row lookup resolves in exactly one of
-	// the five buckets, so storeLookups == storeSketch + storeT1 +
-	// storeT2 + storeT3 + storeMiss (asserted by the stress tests).
-	storeLookups, storeSketch         *obs.Counter
-	storeT1, storeT2, storeT3         *obs.Counter
-	storeMiss, storeDemotes           *obs.Counter
-	storeDynScanned, storeDynRetagged *obs.Counter
-	storeDynRepaired, storeDynDropped *obs.Counter
-	storeDynAged                      *obs.Counter
-	t2PromoteT, t3PromoteT, demoteT   obs.Timing
+	solves, solvedRows           *obs.Counter
+	batchSolves, scalarSolves    *obs.Counter
+	timeouts, badRequests        *obs.Counter
+	exact, approx                *obs.Counter
+	mutations, mutationConflicts *obs.Counter
+	storeLookups, storeSketch    *obs.Counter
 }
 
 func newServeMetrics(reg *obs.Metrics) *metrics {
 	return &metrics{
-		lookups:    reg.Counter("serve.cache.lookups"),
-		hits:       reg.Counter("serve.cache.hits"),
-		misses:     reg.Counter("serve.cache.misses"),
-		coalesced:  reg.Counter("serve.cache.coalesced"),
-		evictions:  reg.Counter("serve.cache.evictions"),
 		solves:     reg.Counter("serve.solve.batches"),
 		solvedRows: reg.Counter("serve.solve.rows"),
 		// serve.solve.batch/scalar split serve.solve.batches by the core
@@ -237,44 +204,18 @@ func newServeMetrics(reg *obs.Metrics) *metrics {
 		// visible in the serving metrics without a trace.
 		batchSolves:  reg.Counter("serve.solve.batch"),
 		scalarSolves: reg.Counter("serve.solve.scalar"),
-		requests:     reg.Counter("serve.requests"),
-		throttled:    reg.Counter("serve.throttled"),
 		timeouts:     reg.Counter("serve.timeouts"),
 		badRequests:  reg.Counter("serve.bad_requests"),
 		exact:        reg.Counter("serve.answers.exact"),
 		approx:       reg.Counter("serve.answers.approx"),
-		// The dynamic-graph ledger: every committed mutation scans the
-		// current version's ready rows and each scanned row is re-tagged,
-		// repaired, or invalidated — never more than one of them.
+		// Committed mutations and edge conflicts; what each mutation did
+		// to the rows is the row store's serve.store.dyn.* ledger.
 		mutations:         reg.Counter("serve.dyn.mutations"),
 		mutationConflicts: reg.Counter("serve.dyn.conflicts"),
-		dynScanned:        reg.Counter("serve.dyn.scanned"),
-		dynRetagged:       reg.Counter("serve.dyn.retagged"),
-		dynRepaired:       reg.Counter("serve.dyn.repaired"),
-		dynRepairedLabels: reg.Counter("serve.dyn.repaired_labels"),
-		dynInvalidated:    reg.Counter("serve.dyn.invalidated"),
-		// The tiered-store ledger: one bucket per lookup. sketch_answered
-		// never touched a row tier (the landmark bounds certified the
-		// tolerance), t1_hits came from the hot uncompressed LRU, t2/t3
-		// promotes decompressed a warm/cold frame back into T1, and misses
-		// fell through to a solve.
+		// A sketch answer is a row lookup no tier saw (the landmark bounds
+		// certified the tolerance); see store's ledger for the rest.
 		storeLookups: reg.Counter("serve.store.lookups"),
 		storeSketch:  reg.Counter("serve.store.sketch_answered"),
-		storeT1:      reg.Counter("serve.store.t1_hits"),
-		storeT2:      reg.Counter("serve.store.t2_promotes"),
-		storeT3:      reg.Counter("serve.store.t3_promotes"),
-		storeMiss:    reg.Counter("serve.store.misses"),
-		storeDemotes: reg.Counter("serve.store.demotes"),
-		// The tier mirror of the serve.dyn.* ledger: frames reconciled
-		// across a mutation, scanned == retagged + repaired + dropped.
-		storeDynScanned:  reg.Counter("serve.store.dyn.scanned"),
-		storeDynRetagged: reg.Counter("serve.store.dyn.retagged"),
-		storeDynRepaired: reg.Counter("serve.store.dyn.repaired"),
-		storeDynDropped:  reg.Counter("serve.store.dyn.dropped"),
-		storeDynAged:     reg.Counter("serve.store.dyn.aged"),
-		t2PromoteT:       reg.Timing("serve.store.t2_promote"),
-		t3PromoteT:       reg.Timing("serve.store.t3_promote"),
-		demoteT:          reg.Timing("serve.store.demote"),
 	}
 }
 
@@ -303,16 +244,10 @@ type Server struct {
 	n     int // vertex count; mutations never change it
 	cfg   Config
 
-	cache *rowCache
-	// tiers is the compressed warm+cold store behind the hot cache; nil
-	// when both tiers are disabled. dict is the compression dictionary —
-	// the build-time landmark oracle, pinned for the server's lifetime
-	// even after mutations retire the snapshot's answering oracle (a
-	// dictionary need not be semantically current; frame checksums pin
-	// every decode to the exact reference row it was encoded against).
-	tiers *store.Store
-	dict  *oracleRefs
-	m     *metrics
+	// rows holds every finished row, in all three tiers, and runs the
+	// single flight of their promotes and solves.
+	rows *store.Store
+	m    *metrics
 	// adm is the shared admission layer: quotas, tiered inflight
 	// backpressure, drain state, and the admit.* ledger, publishing into
 	// the same registry as the serve.* counters.
@@ -323,33 +258,21 @@ type Server struct {
 	httpSrv *httpServerRef
 }
 
-// cacheRowsDeprecation emits the one-time warning when the deprecated
-// row-count cache knob is still in use; see Config.CacheRows.
-var cacheRowsDeprecation sync.Once
-
 // New builds a server: it validates the config, constructs the landmark
 // oracle (unless disabled; loaded from OraclePath when it matches the
-// graph), opens the tiered distance store, and seeds the version store at
-// version 1.
+// graph), opens the row store, and seeds the version store at version 1.
 func New(g *graph.Graph, cfg Config) (*Server, error) {
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("serve: nil or empty graph")
 	}
-	if cfg.CacheBytes == 0 && cfg.CacheRows != 0 {
-		cacheRowsDeprecation.Do(func() {
-			fmt.Fprintln(os.Stderr, "serve: CacheRows (-cache-rows) is deprecated; "+
-				"use CacheBytes (-cache-bytes) — the row alias derives CacheBytes as rows*4*n and will be removed")
-		})
-	}
 	cfg = cfg.withDefaults()
 	n := g.N()
-	// Resolve the tier byte budgets. T1 falls back to the deprecated
-	// row-count knob; T2 defaults to 4x T1 (compressed rows are several
-	// times smaller than raw, so the same memory holds a multiple of the
-	// row count); T3 is opt-in.
+	// Resolve the tier byte budgets. T1 defaults to 256 rows; T2 to 4x T1
+	// (compressed rows are several times smaller than raw, so the same
+	// memory holds a multiple of the row count); T3 is opt-in.
 	t1Bytes := cfg.CacheBytes
 	if t1Bytes <= 0 {
-		t1Bytes = int64(cfg.CacheRows) * int64(n) * 4
+		t1Bytes = 256 * int64(n) * 4
 	}
 	warmBytes := cfg.WarmBytes
 	if warmBytes == 0 {
@@ -362,10 +285,9 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: SpillBytes set without SpillDir")
 	}
 	s := &Server{
-		n:     n,
-		cfg:   cfg,
-		cache: newRowCache(t1Bytes),
-		m:     newServeMetrics(cfg.Metrics),
+		n:   n,
+		cfg: cfg,
+		m:   newServeMetrics(cfg.Metrics),
 		adm: admit.New(admit.Config{
 			MaxInflight:     cfg.MaxInflight,
 			BestEffortShare: cfg.BestEffortShare,
@@ -414,38 +336,33 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 			}
 		}
 	}
-	if warmBytes > 0 || cfg.SpillBytes > 0 {
-		if orc != nil {
-			s.dict = newOracleRefs(orc, n)
-		}
-		spillPath := ""
-		if cfg.SpillBytes > 0 {
-			spillPath = filepath.Join(cfg.SpillDir, "parapsp-spill.arena")
-		}
-		var refs store.RefProvider
-		if s.dict != nil {
-			refs = s.dict
-		}
-		tiers, err := store.Open(store.Config{
-			N:           n,
-			WarmBytes:   warmBytes,
-			SpillBytes:  cfg.SpillBytes,
-			SpillPath:   spillPath,
-			Fingerprint: fp,
-			Refs:        refs,
-			Metrics:     cfg.Metrics,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: tiered store: %w", err)
-		}
-		s.tiers = tiers
-		s.cache.onEvict = func(src int32, ver uint64, row []matrix.Dist) {
-			start := time.Now()
-			s.tiers.Put(store.Key{Src: src, Ver: ver}, row)
-			s.m.storeDemotes.Add(1)
-			s.m.demoteT.ObserveSince(start)
-		}
+	// The compression dictionary is the build-time landmark oracle, pinned
+	// for the server's lifetime even after mutations retire the snapshot's
+	// answering oracle (a dictionary need not be semantically current;
+	// frame checksums pin every decode to the exact reference row it was
+	// encoded against). Only the compressed tiers use it.
+	var refs store.RefProvider
+	if orc != nil && (warmBytes > 0 || cfg.SpillBytes > 0) {
+		refs = newOracleRefs(orc, n)
 	}
+	spillPath := ""
+	if cfg.SpillBytes > 0 {
+		spillPath = filepath.Join(cfg.SpillDir, "parapsp-spill.arena")
+	}
+	rows, err := store.Open(store.Config{
+		N:           n,
+		HotBytes:    t1Bytes,
+		WarmBytes:   warmBytes,
+		SpillBytes:  cfg.SpillBytes,
+		SpillPath:   spillPath,
+		Fingerprint: fp,
+		Refs:        refs,
+		Metrics:     cfg.Metrics,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: row store: %w", err)
+	}
+	s.rows = rows
 	s.store = dyn.NewStore(g, orc)
 	return s, nil
 }
@@ -503,21 +420,9 @@ func (s *Server) Version() uint64 { return s.store.Version() }
 // Metrics returns the registry the server publishes into.
 func (s *Server) Metrics() *obs.Metrics { return s.cfg.Metrics }
 
-// CachedRows returns the number of distance rows currently resident in
-// the hot tier (across all versions).
-func (s *Server) CachedRows() int { return s.cache.Len() }
-
-// CachedBytes returns the resident bytes of the hot tier's rows.
-func (s *Server) CachedBytes() int64 { return s.cache.Bytes() }
-
-// StoreStats returns the compressed tiers' residency snapshot (zero when
-// the tiers are disabled).
-func (s *Server) StoreStats() store.Stats {
-	if s.tiers == nil {
-		return store.Stats{}
-	}
-	return s.tiers.Snapshot()
-}
+// StoreStats returns the row store's residency snapshot, every tier and
+// every version.
+func (s *Server) StoreStats() store.Stats { return s.rows.Snapshot() }
 
 // Inflight returns the number of currently admitted queries (both tiers).
 func (s *Server) Inflight() int { return s.adm.Inflight() }
@@ -538,22 +443,15 @@ func (s *Server) Draining() bool { return s.adm.Draining() }
 // programmatic callers default to the "local" client at BestEffort), and
 // the returned release must be called exactly once with the request's
 // terminal error so the admission ledger books it as completed or
-// deadline_expired. The serve.requests / serve.throttled counters mirror
-// the admission outcome under their historical names.
+// deadline_expired. It is the server's only Admit call, so admit.* counts
+// every query.
 func (s *Server) admitRequest(ctx context.Context) (func(error), admit.Request, error) {
 	req := admit.RequestFrom(ctx)
 	if req.Client == "" {
 		req.Client = "local"
 	}
 	release, err := s.adm.Admit(req)
-	if err != nil {
-		if errors.Is(err, admit.ErrQuota) || errors.Is(err, admit.ErrInflight) {
-			s.m.throttled.Add(1)
-		}
-		return nil, req, err
-	}
-	s.m.requests.Add(1)
-	return release, req, nil
+	return release, req, err
 }
 
 func (s *Server) checkVertex(v int32) error {
@@ -564,8 +462,8 @@ func (s *Server) checkVertex(v int32) error {
 }
 
 // Solver-kind values reported per request via the X-Parapsp-Solver header
-// and the return of the *Kind query variants: which machinery produced the
-// answers — the multi-source batch engine, the scalar subset solver, or no
+// and the kind returned by BatchPinned and PathPinned: which machinery
+// produced the answers — the multi-source batch engine, the scalar subset solver, or no
 // solver at all (cache hits, oracle bounds, and trivial u==v queries).
 // When a solve runs, the reported value is qualified with the SSSP kernel
 // that executed it, "<engine>/<kernel>": "batch/msbfs", "batch/sweep",
@@ -585,53 +483,23 @@ func solverKind(sub *core.SubsetResult) string {
 	return SolverScalar + "/" + sub.Kernel
 }
 
-// Dist answers a single distance query; tol > 0 permits an approximate
-// answer from the oracle bounds when the cache is cold (see Batch).
-func (s *Server) Dist(ctx context.Context, u, v int32, tol float64) (Answer, error) {
-	as, err := s.Batch(ctx, []Query{{U: u, V: v}}, tol)
-	if err != nil {
-		return Answer{}, err
-	}
-	return as[0], nil
-}
-
-// DistKind is Dist plus the solver kind that produced the answer.
-func (s *Server) DistKind(ctx context.Context, u, v int32, tol float64) (Answer, string, error) {
-	as, kind, _, err := s.BatchPinned(ctx, []Query{{U: u, V: v}}, tol)
-	if err != nil {
-		return Answer{}, "", err
-	}
-	return as[0], kind, nil
-}
-
-// Batch answers a group of queries in one admission. The sources of all
-// cache-missing queries are handed to the subset solver together, so rows
-// computed for one query fold into the searches of the others exactly as
-// in ParAPSP.
+// BatchPinned answers a group of distance queries in one admission (a
+// /dist query is a batch of one). The sources of all queries resident in
+// no tier are handed to the subset solver together, so rows computed for
+// one query fold into the searches of the others exactly as in ParAPSP.
 //
-// With tol > 0, a query whose source row is not cached may be answered
-// approximately: if the oracle's bounds satisfy upper-lower <= tol*lower
-// the upper bound is returned (so Dist <= (1+tol) * true distance), and an
-// exact refinement of the source row is scheduled in the background for
-// subsequent queries. tol must be finite and >= 0.
-func (s *Server) Batch(ctx context.Context, qs []Query, tol float64) ([]Answer, error) {
-	as, _, _, err := s.BatchPinned(ctx, qs, tol)
-	return as, err
-}
-
-// BatchKind is Batch plus the solver kind of the request: a
+// With tol > 0, a best-effort query may be answered approximately from
+// the oracle bounds before any tier is consulted: if they satisfy
+// upper-lower <= tol*lower the upper bound is returned (so Dist <=
+// (1+tol) * true distance). tol must be finite and >= 0; premium requests
+// are always exact.
+//
+// It returns the answers, the solver kind of the request (a
 // kernel-qualified "batch/..." or "scalar/..." value when a subset solve
-// ran for the cache-missing sources, SolverCache when every query was
-// answered without one.
-func (s *Server) BatchKind(ctx context.Context, qs []Query, tol float64) ([]Answer, string, error) {
-	as, kind, _, err := s.BatchPinned(ctx, qs, tol)
-	return as, kind, err
-}
-
-// BatchPinned is BatchKind plus the graph version the request pinned: the
-// whole batch — cache lookups, oracle bounds, and subset solves alike —
-// is answered against exactly that snapshot, regardless of concurrent
-// mutations.
+// ran, SolverCache when none did), and the graph version the request
+// pinned: the whole batch — row lookups, oracle bounds, and subset solves
+// alike — is answered against exactly that snapshot, regardless of
+// concurrent mutations.
 func (s *Server) BatchPinned(ctx context.Context, qs []Query, tol float64) (_ []Answer, _ string, _ uint64, err error) {
 	if len(qs) == 0 {
 		return nil, "", 0, fmt.Errorf("serve: empty batch")
@@ -666,8 +534,8 @@ func (s *Server) BatchPinned(ctx context.Context, qs []Query, tol float64) (_ []
 	pin := s.store.Current()
 
 	out := make([]Answer, len(qs))
-	var needSrc []int32
-	var pending []int // indices of out waiting on exact rows
+	var srcs []int32
+	var pending []int // indices of out waiting on srcs' rows
 	for i, q := range qs {
 		if q.U == q.V {
 			out[i] = exactAnswer(q, 0)
@@ -688,25 +556,18 @@ func (s *Server) BatchPinned(ctx context.Context, qs []Query, tol float64) (_ []
 				continue
 			}
 		}
-		if row := s.cache.lookup(q.U, pin.Version, s.m); row != nil {
-			out[i] = exactAnswer(q, row[q.V])
-			s.m.exact.Add(1)
-			continue
-		}
-		needSrc = append(needSrc, q.U)
+		srcs = append(srcs, q.U)
 		pending = append(pending, i)
 	}
 	kind := SolverCache
-	if len(needSrc) > 0 {
-		rows, solveKind, rerr := s.rows(ctx, pin, needSrc, req.Tier)
-		if rerr != nil {
-			err = rerr
+	if len(srcs) > 0 {
+		var rows [][]matrix.Dist
+		rows, kind, err = s.load(ctx, pin, srcs, req.Tier)
+		if err != nil {
 			return nil, "", 0, err
 		}
-		kind = solveKind
-		for _, i := range pending {
-			q := qs[i]
-			out[i] = exactAnswer(q, rows[q.U][q.V])
+		for j, i := range pending {
+			out[i] = exactAnswer(qs[i], rows[j][qs[i].V])
 			s.m.exact.Add(1)
 		}
 	}
@@ -730,117 +591,51 @@ func distToJSON(d matrix.Dist) int64 {
 	return int64(d)
 }
 
-// rows resolves the distance rows of the given sources through the
-// tiered store at the pinned snapshot: sources this caller owns are first
-// looked up in the compressed warm/cold tiers (a hit decompresses the
-// frame and promotes it back into the hot cache — no solve), the rest are
-// solved in one subset batch against pin.G, and sources pending under
-// another request are waited on. The returned rows are immutable shared
-// snapshots. The kind reports which solver ran: a kernel-qualified
-// "batch/..." or "scalar/..." value when this caller solved sources,
-// SolverCache when every source came from a tier, was already resident,
-// or was pending under another request.
-func (s *Server) rows(ctx context.Context, pin *dyn.Snapshot, sources []int32, tier admit.Tier) (map[int32][]matrix.Dist, string, error) {
+// load resolves the rows of srcs at the pinned snapshot through the row
+// store, in order, with the request's SLO tier as the single-flight class.
+// Rows resident in no tier are solved in one subset batch against pin.G.
+// The returned rows are immutable shared snapshots. The kind reports which
+// solver ran: a kernel-qualified "batch/..." or "scalar/..." value when
+// this call solved, SolverCache otherwise.
+func (s *Server) load(ctx context.Context, pin *dyn.Snapshot, srcs []int32, tier admit.Tier) ([][]matrix.Dist, string, error) {
 	kind := SolverCache
-	acq := s.cache.acquire(sources, pin.Version, tier, s.m)
-	solve := acq.owned
-	if len(acq.owned) > 0 && s.tiers != nil {
-		var promoted []int32
-		solve = solve[:0:0]
-		for _, src := range acq.owned {
-			start := time.Now()
-			row, tier := s.tiers.Get(store.Key{Src: src, Ver: pin.Version}, nil)
-			switch tier {
-			case store.TierWarm:
-				s.m.storeT2.Add(1)
-				s.m.t2PromoteT.ObserveSince(start)
-			case store.TierCold:
-				s.m.storeT3.Add(1)
-				s.m.t3PromoteT.ObserveSince(start)
-			default:
-				s.m.storeMiss.Add(1)
-				solve = append(solve, src)
-				continue
-			}
-			acq.rows[src] = row
-			promoted = append(promoted, src)
-		}
-		if len(promoted) > 0 {
-			s.cache.fulfill(promoted, pin.Version, tier, func(src int32) []matrix.Dist {
-				return acq.rows[src]
-			}, nil, s.m)
-		}
-	} else {
-		s.m.storeMiss.Add(int64(len(acq.owned)))
-	}
-	if len(solve) > 0 {
-		sub, err := core.SolveSubset(pin.G, solve, core.Options{
+	rows, err := s.rows.Load(ctx, pin.Version, uint8(tier), srcs, func(cold []int32) ([][]matrix.Dist, error) {
+		sub, err := core.SolveSubset(pin.G, cold, core.Options{
 			Workers: s.cfg.Workers,
 			Batch:   s.cfg.Batch,
 			Kernel:  s.cfg.Kernel,
 		})
 		if err != nil {
-			s.cache.fulfill(solve, pin.Version, tier, nil, err, s.m)
-			return nil, "", err
+			return nil, err
 		}
 		s.m.solves.Add(1)
-		s.m.solvedRows.Add(int64(len(solve)))
+		s.m.solvedRows.Add(int64(len(cold)))
 		kind = solverKind(sub)
 		if sub.Batched() {
 			s.m.batchSolves.Add(1)
 		} else {
 			s.m.scalarSolves.Add(1)
 		}
-		s.cache.fulfill(solve, pin.Version, tier, func(src int32) []matrix.Dist {
-			// Copy out of the SubsetResult so the cache retains only the
-			// rows it wants, not the whole k*n block.
-			row := make([]matrix.Dist, s.n)
-			copy(row, sub.Row(src))
-			return row
-		}, nil, s.m)
-		for _, src := range solve {
-			acq.rows[src] = s.cache.peek(src, pin.Version)
-			if acq.rows[src] == nil {
-				// Evicted between fulfill and here (cache smaller than the
-				// batch): fall back to the solver's copy.
-				row := make([]matrix.Dist, s.n)
-				copy(row, sub.Row(src))
-				acq.rows[src] = row
-			}
+		// Copy out of the SubsetResult so the store keeps only the rows,
+		// not the whole k*n block.
+		out := make([][]matrix.Dist, len(cold))
+		for i, src := range cold {
+			out[i] = append([]matrix.Dist(nil), sub.Row(src)...)
 		}
+		return out, nil
+	})
+	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		s.m.timeouts.Add(1)
 	}
-	for _, e := range acq.waits {
-		select {
-		case <-e.ready:
-			if e.err != nil {
-				return nil, "", e.err
-			}
-			acq.rows[e.key.src] = e.row
-		case <-ctx.Done():
-			s.m.timeouts.Add(1)
-			return nil, "", ctx.Err()
-		}
-	}
-	return acq.rows, kind, nil
+	return rows, kind, err
 }
 
-// Path answers an exact shortest-path query: the vertices from u to v
-// inclusive, or nil when v is unreachable. Paths are reconstructed from
-// u's distance row by walking predecessors over the reverse adjacency, so
-// they need no O(n^2) next-hop matrix.
-func (s *Server) Path(ctx context.Context, u, v int32) ([]int32, Answer, error) {
-	path, ans, _, _, err := s.PathPinned(ctx, u, v)
-	return path, ans, err
-}
-
-// PathKind is Path plus the solver kind that resolved u's distance row.
-func (s *Server) PathKind(ctx context.Context, u, v int32) ([]int32, Answer, string, error) {
-	path, ans, kind, _, err := s.PathPinned(ctx, u, v)
-	return path, ans, kind, err
-}
-
-// PathPinned is PathKind plus the pinned graph version: the distance row
-// and the predecessor walk both resolve against that one snapshot.
+// PathPinned answers an exact shortest-path query: the vertices from u to
+// v inclusive, or nil when v is unreachable, with the distance answer,
+// the solver kind that resolved u's row, and the pinned graph version.
+// The path is reconstructed from u's distance row by walking predecessors
+// over the reverse adjacency of the same snapshot, so it needs no O(n^2)
+// next-hop matrix.
 func (s *Server) PathPinned(ctx context.Context, u, v int32) (_ []int32, _ Answer, _ string, _ uint64, err error) {
 	if err := s.checkVertex(u); err != nil {
 		return nil, Answer{}, "", 0, err
@@ -856,11 +651,11 @@ func (s *Server) PathPinned(ctx context.Context, u, v int32) (_ []int32, _ Answe
 	ctx, cancel := s.adm.WithDeadline(ctx)
 	defer cancel()
 	pin := s.store.Current()
-	rows, kind, err := s.rows(ctx, pin, []int32{u}, req.Tier)
+	rows, kind, err := s.load(ctx, pin, []int32{u}, req.Tier)
 	if err != nil {
 		return nil, Answer{}, "", 0, err
 	}
-	row := rows[u]
+	row := rows[0]
 	ans := exactAnswer(Query{U: u, V: v}, row[v])
 	s.m.exact.Add(1)
 	path := reconstructPath(pin.TR, row, u, v)
@@ -868,7 +663,8 @@ func (s *Server) PathPinned(ctx context.Context, u, v int32) (_ []int32, _ Answe
 }
 
 // ApplyResult reports what one committed edge mutation did: the published
-// version and the fate of every cached row of the previous version.
+// version and the fate of every row of the previous version, in every
+// tier of the row store.
 type ApplyResult struct {
 	// Version is the graph version the mutation published.
 	Version uint64 `json:"version"`
@@ -876,28 +672,30 @@ type ApplyResult struct {
 	Kind string `json:"kind"`
 	// OldW is the edge weight before the op (0 for an insert).
 	OldW int64 `json:"old_w"`
-	// Scanned counts the previous version's cached rows the mutation
-	// examined; Scanned == Retagged + Repaired + Invalidated always.
+	// Scanned counts the previous version's rows the mutation examined,
+	// hot rows and compressed frames alike; Scanned == Retagged +
+	// Repaired + Invalidated always.
 	Scanned int `json:"scanned"`
 	// Retagged rows were provably unaffected and carried forward for
-	// free (shared, not copied).
+	// free (a hot row's slice is shared, a frame is rebound in place).
 	Retagged int `json:"retagged"`
-	// Repaired rows were affected by an improving edge and fixed in
-	// place by the bounded repair SSSP; RepairedLabels sums the distance
-	// labels the repairs lowered.
+	// Repaired rows were affected by an improving edge and fixed by the
+	// bounded repair SSSP (a hot row as a copy, a frame in place);
+	// RepairedLabels sums the distance labels the repairs lowered.
 	Repaired       int `json:"repaired"`
 	RepairedLabels int `json:"repaired_labels"`
 	// Invalidated rows were hit by a worsening edge through a tight arc
-	// and dropped; the next query for them re-solves from scratch.
+	// (or failed to decode) and dropped; the next query for them
+	// re-solves from scratch.
 	Invalidated int `json:"invalidated"`
 }
 
 // ApplyEdge applies one edge mutation and publishes the next graph
 // version. Readers are never blocked: in-flight queries keep answering
-// against their pinned snapshots, and the row cache is reconciled —
+// against their pinned snapshots, and the row store is reconciled —
 // unaffected rows re-tagged, improvable rows repaired, stale rows dropped
 // — before the new version becomes visible, so the first query at the new
-// version already finds a warm, exact cache. Mutations are serialized.
+// version already finds warm, exact rows. Mutations are serialized.
 // Conflicts (inserting an existing edge, deleting or reweighting a missing
 // one) fail with dyn.ErrEdgeExists / dyn.ErrNoEdge.
 func (s *Server) ApplyEdge(op dyn.EdgeOp) (ApplyResult, error) {
@@ -912,62 +710,11 @@ func (s *Server) ApplyEdge(op dyn.EdgeOp) (ApplyResult, error) {
 	s.dynMu.Lock()
 	defer s.dynMu.Unlock()
 
-	var res ApplyResult
+	var st store.RecStats
 	next, ch, err := s.store.Mutate(op, func(old, next *dyn.Snapshot, ch dyn.Change) {
-		s.reconcile(old, next, ch, &res)
-	})
-	if err != nil {
-		if errors.Is(err, dyn.ErrNoEdge) || errors.Is(err, dyn.ErrEdgeExists) {
-			s.m.mutationConflicts.Add(1)
-		}
-		return ApplyResult{}, err
-	}
-	s.m.mutations.Add(1)
-	res.Version = next.Version
-	res.Kind = ch.Kind.String()
-	res.OldW = int64(ch.OldW)
-	return res, nil
-}
-
-// reconcile carries the previous version's cached rows over to the next
-// version, inside the mutation's pre-publish window (no query can run at
-// next.Version yet, so installs cannot collide with single-flight owners).
-func (s *Server) reconcile(old, next *dyn.Snapshot, ch dyn.Change, res *ApplyResult) {
-	srcs, rows := s.cache.readyRows(old.Version)
-	arcs := ch.Arcs(next.G.Undirected())
-	undirected := next.G.Undirected()
-	for i, src := range srcs {
-		row := rows[i]
-		res.Scanned++
-		switch dyn.Classify(row, ch, undirected) {
-		case dyn.RowUnaffected:
-			s.cache.install(src, next.Version, row, s.m)
-			res.Retagged++
-		case dyn.RowRepairable:
-			repaired := make([]matrix.Dist, len(row))
-			copy(repaired, row)
-			res.RepairedLabels += dyn.RepairImprove(next.G, repaired, arcs...)
-			s.cache.install(src, next.Version, repaired, s.m)
-			res.Repaired++
-		case dyn.RowStale:
-			res.Invalidated++
-		}
-	}
-	s.m.dynScanned.Add(int64(res.Scanned))
-	s.m.dynRetagged.Add(int64(res.Retagged))
-	s.m.dynRepaired.Add(int64(res.Repaired))
-	s.m.dynRepairedLabels.Add(int64(res.RepairedLabels))
-	s.m.dynInvalidated.Add(int64(res.Invalidated))
-
-	// The compressed tiers reconcile by the same retag/repair/drop rules,
-	// still pre-publish: a frame whose decoded row the change cannot
-	// affect is retagged for free (cold frames without touching disk), a
-	// repairable one is repaired in place and re-encoded at the new
-	// version, a stale one is dropped and re-solved on next demand.
-	// Counted in serve.store.dyn.* so the hot-tier ledger above stays
-	// exactly the rows the ApplyResult reports.
-	if s.tiers != nil {
-		st := s.tiers.Reconcile(old.Version, next.Version,
+		undirected := next.G.Undirected()
+		arcs := ch.Arcs(undirected)
+		st = s.rows.Reconcile(old.Version, next.Version,
 			func(row []matrix.Dist) store.Verdict {
 				switch dyn.Classify(row, ch, undirected) {
 				case dyn.RowUnaffected:
@@ -978,21 +725,34 @@ func (s *Server) reconcile(old, next *dyn.Snapshot, ch dyn.Change, res *ApplyRes
 					return store.Drop
 				}
 			},
-			func(row []matrix.Dist) {
-				dyn.RepairImprove(next.G, row, arcs...)
+			func(row []matrix.Dist) int {
+				return dyn.RepairImprove(next.G, row, arcs...)
 			})
-		s.m.storeDynScanned.Add(int64(st.Scanned))
-		s.m.storeDynRetagged.Add(int64(st.Retagged))
-		s.m.storeDynRepaired.Add(int64(st.Repaired))
-		s.m.storeDynDropped.Add(int64(st.Dropped))
-		s.m.storeDynAged.Add(int64(st.Aged))
+	})
+	if err != nil {
+		if errors.Is(err, dyn.ErrNoEdge) || errors.Is(err, dyn.ErrEdgeExists) {
+			s.m.mutationConflicts.Add(1)
+		}
+		return ApplyResult{}, err
 	}
+	s.m.mutations.Add(1)
+	return ApplyResult{
+		Version:        next.Version,
+		Kind:           ch.Kind.String(),
+		OldW:           int64(ch.OldW),
+		Scanned:        st.Scanned,
+		Retagged:       st.Retagged,
+		Repaired:       st.Repaired,
+		RepairedLabels: st.RepairedLabels,
+		Invalidated:    st.Dropped,
+	}, nil
 }
 
 // Shutdown drains the server: new work is refused with ErrClosed, the
 // embedded HTTP server (if Serve was called) stops accepting and waits for
-// active connections, and background refinements are awaited. It returns
-// nil when everything drained before ctx expired. Shutdown is idempotent.
+// active connections, in-flight queries and mutations are awaited, and
+// the row store is closed. It returns nil when everything drained before
+// ctx expired. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.adm.Drain()
 	err := s.httpSrv.shutdown(ctx)
@@ -1001,8 +761,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// With queries drained no demotion or promotion can race the close;
 	// the store drains its spill queue and stops the writeback goroutine.
-	if s.tiers != nil {
-		s.tiers.Close()
-	}
+	s.rows.Close()
 	return err
 }

@@ -29,6 +29,19 @@ func testGraph(t testing.TB, n int, seed int64) *graph.Graph {
 	return g
 }
 
+// rowsBudget is the byte budget of rows uncompressed rows of g.
+func rowsBudget(g *graph.Graph, rows int) int64 { return int64(rows) * int64(g.N()) * 4 }
+
+// dist asks one distance query through BatchPinned, returning the answer
+// and the solver kind.
+func dist(ctx context.Context, s *Server, u, v int32, tol float64) (Answer, string, error) {
+	as, kind, _, err := s.BatchPinned(ctx, []Query{{U: u, V: v}}, tol)
+	if err != nil {
+		return Answer{}, "", err
+	}
+	return as[0], kind, nil
+}
+
 func newTestServer(t testing.TB, g *graph.Graph, cfg Config) *Server {
 	t.Helper()
 	s, err := New(g, cfg)
@@ -48,11 +61,11 @@ func newTestServer(t testing.TB, g *graph.Graph, cfg Config) *Server {
 func TestExactMatchesFloydWarshall(t *testing.T) {
 	g := testGraph(t, 120, 7)
 	truth := baseline.FloydWarshall(g)
-	s := newTestServer(t, g, Config{Workers: 2, CacheRows: 16})
+	s := newTestServer(t, g, Config{Workers: 2, CacheBytes: rowsBudget(g, 16)})
 	ctx := context.Background()
 	for u := int32(0); u < 40; u++ {
 		for _, v := range []int32{0, 1, int32(g.N() - 1), u} {
-			ans, err := s.Dist(ctx, u, v, 0)
+			ans, _, err := dist(ctx, s, u, v, 0)
 			if err != nil {
 				t.Fatalf("Dist(%d,%d): %v", u, v, err)
 			}
@@ -69,7 +82,7 @@ func TestExactMatchesFloydWarshall(t *testing.T) {
 
 func TestSingleFlight(t *testing.T) {
 	g := testGraph(t, 150, 3)
-	s := newTestServer(t, g, Config{Workers: 2, CacheRows: 64, Landmarks: -1})
+	s := newTestServer(t, g, Config{Workers: 2, CacheBytes: rowsBudget(g, 64), Landmarks: -1})
 	const clients = 16
 	src := int32(5)
 	var wg sync.WaitGroup
@@ -77,7 +90,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Dist(context.Background(), src, 9, 0); err != nil {
+			if _, _, err := dist(context.Background(), s, src, 9, 0); err != nil {
 				t.Errorf("Dist: %v", err)
 			}
 		}()
@@ -89,20 +102,18 @@ func TestSingleFlight(t *testing.T) {
 	if got := snap["serve.solve.rows"]; got != 1 {
 		t.Fatalf("solved %d rows for %d concurrent queries of one source, want 1", got, clients)
 	}
-	if snap["serve.cache.misses"] != 1 {
-		t.Fatalf("misses = %d, want 1", snap["serve.cache.misses"])
+	if misses := hotMisses(snap); misses != 1 {
+		t.Fatalf("T1 misses = %d, want 1", misses)
 	}
-	if snap["serve.cache.lookups"] != snap["serve.cache.hits"]+snap["serve.cache.misses"] {
-		t.Fatalf("lookup counters do not reconcile: %v", snap)
-	}
+	checkRowLedger(t, snap)
 }
 
 func TestBatchGroupsSources(t *testing.T) {
 	g := testGraph(t, 100, 11)
 	truth := baseline.FloydWarshall(g)
-	s := newTestServer(t, g, Config{Workers: 2, CacheRows: 32, Landmarks: -1})
+	s := newTestServer(t, g, Config{Workers: 2, CacheBytes: rowsBudget(g, 32), Landmarks: -1})
 	qs := []Query{{U: 1, V: 2}, {U: 3, V: 4}, {U: 1, V: 7}, {U: 9, V: 1}, {U: 3, V: 3}}
-	as, err := s.Batch(context.Background(), qs, 0)
+	as, _, _, err := s.BatchPinned(context.Background(), qs, 0)
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
 	}
@@ -122,22 +133,22 @@ func TestBatchGroupsSources(t *testing.T) {
 func TestEvictionBound(t *testing.T) {
 	g := testGraph(t, 90, 5)
 	truth := baseline.FloydWarshall(g)
-	s := newTestServer(t, g, Config{Workers: 1, CacheRows: 4, Landmarks: -1})
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: rowsBudget(g, 4), Landmarks: -1})
 	ctx := context.Background()
 	for u := int32(0); u < 12; u++ {
-		if _, err := s.Dist(ctx, u, u+13, 0); err != nil {
+		if _, _, err := dist(ctx, s, u, u+13, 0); err != nil {
 			t.Fatalf("Dist: %v", err)
 		}
 	}
-	if got := s.CachedRows(); got > 4 {
+	if got := s.StoreStats().HotRows; got > 4 {
 		t.Fatalf("cache holds %d rows, cap 4", got)
 	}
 	snap := s.Metrics().Snapshot()
-	if snap["serve.cache.evictions"] < 8 {
-		t.Fatalf("evictions = %d, want >= 8", snap["serve.cache.evictions"])
+	if snap["serve.store.demotes"] < 8 {
+		t.Fatalf("evictions = %d, want >= 8", snap["serve.store.demotes"])
 	}
 	// Evicted rows resolve correctly again.
-	ans, err := s.Dist(ctx, 0, 33, 0)
+	ans, _, err := dist(ctx, s, 0, 33, 0)
 	if err != nil {
 		t.Fatalf("Dist after eviction: %v", err)
 	}
@@ -149,7 +160,7 @@ func TestEvictionBound(t *testing.T) {
 func TestApproxFromLandmark(t *testing.T) {
 	g := testGraph(t, 120, 9)
 	truth := baseline.FloydWarshall(g)
-	s := newTestServer(t, g, Config{Workers: 2, CacheRows: 32, Landmarks: 8})
+	s := newTestServer(t, g, Config{Workers: 2, CacheBytes: rowsBudget(g, 32), Landmarks: 8})
 	L := s.Oracle().Landmarks()[0]
 	var v int32
 	for v = 0; v < int32(g.N()); v++ {
@@ -157,7 +168,7 @@ func TestApproxFromLandmark(t *testing.T) {
 			break
 		}
 	}
-	ans, err := s.Dist(context.Background(), L, v, 0.5)
+	ans, _, err := dist(context.Background(), s, L, v, 0.5)
 	if err != nil {
 		t.Fatalf("Dist: %v", err)
 	}
@@ -175,14 +186,14 @@ func TestApproxFromLandmark(t *testing.T) {
 
 func TestBackpressure(t *testing.T) {
 	g := testGraph(t, 60, 2)
-	s := newTestServer(t, g, Config{Workers: 1, CacheRows: 8, MaxInflight: 1, Landmarks: -1})
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: rowsBudget(g, 8), MaxInflight: 1, Landmarks: -1})
 	// Occupy the only inflight slot through the admission layer, exactly as
 	// a stuck in-flight query would.
 	release, err := s.adm.Admit(admit.Request{Client: "holder", Tier: admit.Premium})
 	if err != nil {
 		t.Fatalf("holder admit: %v", err)
 	}
-	if _, err := s.Dist(context.Background(), 1, 2, 0); !errors.Is(err, ErrBusy) {
+	if _, _, err := dist(context.Background(), s, 1, 2, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("Dist under full inflight budget = %v, want ErrBusy", err)
 	}
 	rec := httptest.NewRecorder()
@@ -198,10 +209,11 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("reject header = %q, want inflight", got)
 	}
 	release(nil)
-	if _, err := s.Dist(context.Background(), 1, 2, 0); err != nil {
+	if _, _, err := dist(context.Background(), s, 1, 2, 0); err != nil {
 		t.Fatalf("Dist after release: %v", err)
 	}
-	if got := s.Metrics().Snapshot()["serve.throttled"]; got != 2 {
+	snap := s.Metrics().Snapshot()
+	if got := snap["admit.rejected_quota"] + snap["admit.rejected_inflight"]; got != 2 {
 		t.Fatalf("throttled = %d, want 2", got)
 	}
 }
@@ -215,7 +227,7 @@ func TestClosedServerRefuses(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if _, err := s.Dist(context.Background(), 0, 1, 0); !errors.Is(err, ErrClosed) {
+	if _, _, err := dist(context.Background(), s, 0, 1, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Dist after shutdown = %v, want ErrClosed", err)
 	}
 	rec := httptest.NewRecorder()
@@ -272,7 +284,7 @@ func TestPathEndpoint(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	g := testGraph(t, 80, 13)
 	truth := baseline.FloydWarshall(g)
-	s := newTestServer(t, g, Config{Workers: 1, CacheRows: 16})
+	s := newTestServer(t, g, Config{Workers: 1, CacheBytes: rowsBudget(g, 16)})
 	h := s.Handler()
 
 	rec := httptest.NewRecorder()
@@ -322,13 +334,27 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("/metrics not valid JSON: %v", err)
 	}
-	if snap["serve.cache.lookups"] != snap["serve.cache.hits"]+snap["serve.cache.misses"] {
-		t.Fatalf("/metrics counters do not reconcile: %v", snap)
-	}
+	checkRowLedger(t, snap)
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/pprof/cmdline status = %d", rec.Code)
+	}
+}
+
+// hotMisses is the number of row lookups T1 did not answer.
+func hotMisses(snap map[string]int64) int64 {
+	return snap["serve.store.t2_promotes"] + snap["serve.store.t3_promotes"] + snap["serve.store.misses"]
+}
+
+// checkRowLedger asserts the row store's lookup ledger on a counter
+// snapshot: every row lookup is a T1 hit or a T1 miss.
+func checkRowLedger(t *testing.T, snap map[string]int64) {
+	t.Helper()
+	if snap["serve.cache.lookups"] != snap["serve.store.t1_hits"]+hotMisses(snap) {
+		t.Fatalf("row lookups do not reconcile: lookups=%d t1=%d t2=%d t3=%d misses=%d",
+			snap["serve.cache.lookups"], snap["serve.store.t1_hits"], snap["serve.store.t2_promotes"],
+			snap["serve.store.t3_promotes"], snap["serve.store.misses"])
 	}
 }

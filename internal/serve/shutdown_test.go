@@ -27,7 +27,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	truth := baseline.FloydWarshall(g)
 	s, err := New(g, Config{
 		Workers:        1,
-		CacheRows:      512, // no eviction noise; every query is a cold solve
+		CacheBytes:     rowsBudget(g, 512), // no eviction noise; every query is a cold solve
 		Landmarks:      -1,
 		MaxInflight:    64,
 		RequestTimeout: 30 * time.Second,
@@ -80,7 +80,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	// Initiate shutdown as soon as the server has admitted every request,
 	// so the drain genuinely overlaps in-flight work.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().Snapshot()["serve.requests"] < clients {
+	for s.Metrics().Snapshot()["admit.admitted"] < clients {
 		if time.Now().After(deadline) {
 			t.Fatal("requests were not admitted in time")
 		}

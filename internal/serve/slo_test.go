@@ -37,7 +37,7 @@ func TestTierDifferentialUnderLoad(t *testing.T) {
 	truth := baseline.FloydWarshall(g)
 	s := newTestServer(t, g, Config{
 		Workers:     2,
-		CacheRows:   16, // << 200 sources: best-effort work really solves
+		CacheBytes:  rowsBudget(g, 16), // << 200 sources: best-effort work really solves
 		Landmarks:   8,
 		MaxInflight: 4, // best-effort cap 3, premium reserve 1
 	})
@@ -131,7 +131,7 @@ func TestQuotaLedgerOverHTTP(t *testing.T) {
 	g := testGraph(t, 80, 5)
 	s := newTestServer(t, g, Config{
 		Workers:    1,
-		CacheRows:  8,
+		CacheBytes: rowsBudget(g, 8),
 		QuotaRPS:   0.001, // refills are irrelevant within the test
 		QuotaBurst: 3,
 	})

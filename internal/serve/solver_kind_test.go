@@ -14,26 +14,27 @@ import (
 
 // The solver-kind surface: every query reports whether the multi-source
 // batch engine, the scalar subset solver, or the cache answered it — and
-// which SSSP kernel ran — through the *Kind API variants, the
-// X-Parapsp-Solver header, and the serve.solve.batch/scalar counters.
+// which SSSP kernel ran — through the kind BatchPinned and PathPinned
+// return, the X-Parapsp-Solver header, and the serve.solve.batch/scalar
+// counters.
 
 func TestSolverKindAPI(t *testing.T) {
 	g := testGraph(t, 150, 21)
 	s := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchForce})
 	ctx := context.Background()
 
-	_, kind, err := s.DistKind(ctx, 3, 9, 0)
+	_, kind, err := dist(ctx, s, 3, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := SolverBatch + "/" + core.KernelMSBFS; kind != want {
-		t.Fatalf("cold DistKind under BatchForce: kind %q, want %q", kind, want)
+		t.Fatalf("cold dist kind under BatchForce: kind %q, want %q", kind, want)
 	}
-	if _, kind, err = s.DistKind(ctx, 3, 10, 0); err != nil || kind != SolverCache {
-		t.Fatalf("warm DistKind: kind %q err %v, want %q", kind, err, SolverCache)
+	if _, kind, err = dist(ctx, s, 3, 10, 0); err != nil || kind != SolverCache {
+		t.Fatalf("warm dist kind: kind %q err %v, want %q", kind, err, SolverCache)
 	}
-	if _, _, kind, err := s.PathKind(ctx, 3, 10); err != nil || kind != SolverCache {
-		t.Fatalf("warm PathKind: kind %q err %v, want %q", kind, err, SolverCache)
+	if _, _, kind, _, err := s.PathPinned(ctx, 3, 10); err != nil || kind != SolverCache {
+		t.Fatalf("warm path kind: kind %q err %v, want %q", kind, err, SolverCache)
 	}
 	snap := s.Metrics().Snapshot()
 	if snap["serve.solve.batch"] != 1 || snap["serve.solve.scalar"] != 0 {
@@ -44,8 +45,8 @@ func TestSolverKindAPI(t *testing.T) {
 	// A scalar-pinned server reports the scalar default on the same cold
 	// query.
 	s2 := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchOff})
-	if _, kind, err := s2.DistKind(ctx, 3, 9, 0); err != nil || kind != SolverScalar+"/"+core.KernelDijkstra {
-		t.Fatalf("cold DistKind under BatchOff: kind %q err %v, want scalar/dijkstra", kind, err)
+	if _, kind, err := dist(ctx, s2, 3, 9, 0); err != nil || kind != SolverScalar+"/"+core.KernelDijkstra {
+		t.Fatalf("cold dist kind under BatchOff: kind %q err %v, want scalar/dijkstra", kind, err)
 	}
 	if got := s2.Metrics().Snapshot()["serve.solve.scalar"]; got != 1 {
 		t.Fatalf("serve.solve.scalar = %d, want 1", got)
@@ -62,14 +63,14 @@ func TestSolverKindPinnedKernel(t *testing.T) {
 	pinned := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelDelta})
 	plain := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchOff})
 
-	ap, kind, err := pinned.DistKind(ctx, 7, 90, 0)
+	ap, kind, err := dist(ctx, pinned, 7, 90, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := SolverScalar + "/" + core.KernelDelta; kind != want {
-		t.Fatalf("pinned DistKind: kind %q, want %q", kind, want)
+		t.Fatalf("pinned dist kind: kind %q, want %q", kind, want)
 	}
-	ad, _, err := plain.DistKind(ctx, 7, 90, 0)
+	ad, _, err := dist(ctx, plain, 7, 90, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +92,14 @@ func TestSolverKindAutoKernel(t *testing.T) {
 
 	// One cold source on a small unweighted graph is below the batch
 	// thresholds, so auto resolves to the scalar dijkstra kernel.
-	aa, kind, err := s.DistKind(ctx, 7, 90, 0)
+	aa, kind, err := dist(ctx, s, 7, 90, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := SolverScalar + "/" + core.KernelDijkstra; kind != want {
-		t.Fatalf("auto DistKind: kind %q, want %q", kind, want)
+		t.Fatalf("auto dist kind: kind %q, want %q", kind, want)
 	}
-	ad, _, err := plain.DistKind(ctx, 7, 90, 0)
+	ad, _, err := dist(ctx, plain, 7, 90, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

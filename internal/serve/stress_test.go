@@ -22,10 +22,10 @@ import (
 // TestStressMixedWorkload hammers one server from many goroutines with a
 // mix of exact, approximate, batch, and path queries over a power-law
 // graph, checking every answer against a precomputed Floyd-Warshall
-// oracle. The cache is deliberately undersized so eviction, re-solve, and
+// oracle. T1 is deliberately undersized so eviction, re-solve, and
 // single-flight coalescing all happen under contention; the run must be
-// clean under -race and the cache counters must reconcile exactly
-// (hits + misses == lookups).
+// clean under -race and the row ledger must reconcile exactly
+// (T1 hits + T1 misses == lookups).
 func TestStressMixedWorkload(t *testing.T) {
 	const (
 		goroutines = 8
@@ -35,7 +35,7 @@ func TestStressMixedWorkload(t *testing.T) {
 	truth := baseline.FloydWarshall(g)
 	s := newTestServer(t, g, Config{
 		Workers:        2,
-		CacheRows:      24, // << 220 sources: forces eviction + cold paths
+		CacheBytes:     rowsBudget(g, 24), // << 220 sources: forces eviction + cold paths
 		Landmarks:      8,
 		SpillBytes:     1 << 20, // engage the cold tier too: T1->T2->T3 churn
 		SpillDir:       t.TempDir(),
@@ -82,21 +82,18 @@ func TestStressMixedWorkload(t *testing.T) {
 	if answered.Load() == 0 {
 		t.Fatal("no operations completed")
 	}
-	// Quiesce background refinements before reading the counters: the
-	// reconciliation below is only exact once no acquire is mid-flight.
+	// Drain before reading the counters: the reconciliation below is only
+	// exact once no Load is mid-flight.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	t.Logf("answered=%d approx=%d busy=%d cached=%d",
-		answered.Load(), approxSeen.Load(), busy.Load(), s.CachedRows())
+		answered.Load(), approxSeen.Load(), busy.Load(), s.StoreStats().HotRows)
 
 	snap := s.Metrics().Snapshot()
-	if snap["serve.cache.lookups"] != snap["serve.cache.hits"]+snap["serve.cache.misses"] {
-		t.Fatalf("cache counters do not reconcile: lookups=%d hits=%d misses=%d",
-			snap["serve.cache.lookups"], snap["serve.cache.hits"], snap["serve.cache.misses"])
-	}
+	checkRowLedger(t, snap)
 	// The tiered-store ledger (satellite 2): every counted lookup is
 	// answered by exactly one of the sketch, the three tiers, or a solve.
 	wantLookups := snap["serve.store.sketch_answered"] + snap["serve.store.t1_hits"] +
@@ -110,7 +107,7 @@ func TestStressMixedWorkload(t *testing.T) {
 		t.Fatalf("solved %d rows but store missed %d times (every store miss must be solved)",
 			snap["serve.solve.rows"], snap["serve.store.misses"])
 	}
-	if got := s.CachedRows(); got > 24 {
+	if got := s.StoreStats().HotRows; got > 24 {
 		t.Fatalf("cache exceeded capacity: %d rows", got)
 	}
 	if snap["serve.store.t2_promotes"]+snap["serve.store.t3_promotes"] == 0 {
@@ -123,7 +120,7 @@ func TestStressMixedWorkload(t *testing.T) {
 }
 
 func stressExact(s *Server, truth *matrix.Matrix, u, v int32) error {
-	ans, err := s.Dist(context.Background(), u, v, 0)
+	ans, _, err := dist(context.Background(), s, u, v, 0)
 	if err != nil {
 		return err
 	}
@@ -138,7 +135,7 @@ func stressExact(s *Server, truth *matrix.Matrix, u, v int32) error {
 // true distance (truth <= Dist <= (1+tol)*truth when finite) and the
 // reported bounds are themselves valid.
 func stressApprox(s *Server, truth *matrix.Matrix, u, v int32, tol float64, seen *atomic.Int64) error {
-	ans, err := s.Dist(context.Background(), u, v, tol)
+	ans, _, err := dist(context.Background(), s, u, v, tol)
 	if err != nil {
 		return err
 	}

@@ -51,8 +51,8 @@ func TestWarmTierPromoteExact(t *testing.T) {
 	if snap["serve.store.lookups"] != want {
 		t.Fatalf("store ledger does not reconcile: lookups=%d, sum=%d", snap["serve.store.lookups"], want)
 	}
-	if s.CachedBytes() > 4*n*4 {
-		t.Fatalf("hot tier exceeds its byte budget: %d > %d", s.CachedBytes(), 4*n*4)
+	if hot := s.StoreStats().HotBytes; hot > 4*n*4 {
+		t.Fatalf("hot tier exceeds its byte budget: %d > %d", hot, 4*n*4)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestSpillRoundTripAndRecovery(t *testing.T) {
 // any row tier — no lookups against the hot cache, no solves.
 func TestSketchAnswersSkipTiers(t *testing.T) {
 	g := testGraph(t, 120, 29)
-	s := newTestServer(t, g, Config{Workers: 2, CacheRows: 16, Landmarks: 12})
+	s := newTestServer(t, g, Config{Workers: 2, CacheBytes: rowsBudget(g, 16), Landmarks: 12})
 	ctx := context.Background()
 
 	// A landmark-to-anywhere query has lower == upper, so any tol
@@ -171,7 +171,7 @@ sweep:
 			if u == v {
 				continue
 			}
-			ans, err := s.Dist(ctx, u, v, 0.5)
+			ans, _, err := dist(ctx, s, u, v, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,29 +188,5 @@ sweep:
 		snap["serve.store.t2_promotes"]+snap["serve.store.t3_promotes"]+
 		snap["serve.store.misses"] != snap["serve.store.lookups"] {
 		t.Fatalf("store ledger broken on sketch path: %+v", snap)
-	}
-}
-
-// TestCacheBytesAlias pins the deprecated CacheRows alias: the two
-// configurations must produce the same hot-tier budget.
-func TestCacheBytesAlias(t *testing.T) {
-	g := testGraph(t, 100, 31)
-	n := int64(g.N())
-	byBytes := newTestServer(t, g, Config{Workers: 1, CacheBytes: 8 * n * 4, Landmarks: -1})
-	byRows := newTestServer(t, g, Config{Workers: 1, CacheRows: 8, Landmarks: -1})
-	ctx := context.Background()
-	for u := int32(0); u < 30; u++ {
-		if _, err := byBytes.Dist(ctx, u, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := byRows.Dist(ctx, u, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a, b := byBytes.CachedRows(), byRows.CachedRows(); a != b {
-		t.Fatalf("CacheBytes=%d rows resident, CacheRows alias=%d", a, b)
-	}
-	if byBytes.CachedBytes() > 8*n*4 {
-		t.Fatalf("hot tier over budget: %d", byBytes.CachedBytes())
 	}
 }

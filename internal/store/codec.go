@@ -1,18 +1,19 @@
 // Package store is the tiered distance-row store that breaks the serving
-// layer's O(cached_rows × n) memory wall: finished rows too cold for the
-// hot uncompressed LRU (tier 1, owned by internal/serve) are kept as
+// layer's O(cached_rows × n) memory wall. It owns every finished row:
+// rows too cold for the hot uncompressed LRU (tier 1) are kept as
 // delta-encoded varint frames in a byte-budgeted warm tier (tier 2) and
 // spilled to a disk-backed, mmap-read arena (tier 3) instead of being
 // discarded — the blocked/out-of-core row management that lets APSP-style
 // serving scale past RAM (Schoeneman & Zola, arXiv:1902.04446), with the
 // landmark machinery of internal/oracle doubling as the compression
-// dictionary.
+// dictionary. Load looks rows up across the tiers and coalesces
+// concurrent promotes and solves of one row (single flight); the caller
+// supplies the solve.
 //
 // Everything in the store is keyed by (source, graph version), so the
-// tiers compose with the dynamic-graph serving semantics of PR 8: a frame
-// decodes to a row that is exact at exactly its version, and mutations
-// reconcile frames across versions (retag / repair / drop) just like the
-// hot tier.
+// tiers compose with the dynamic-graph serving semantics: a row is exact
+// at exactly its version, and Reconcile carries every tier's rows across
+// a mutation (retag / repair / drop).
 package store
 
 import (

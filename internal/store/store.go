@@ -12,20 +12,23 @@ import (
 	"parapsp/internal/obs"
 )
 
-// Key identifies one distance row: a source vertex at a graph version —
-// the same keying as the serving layer's hot tier, so the three tiers
-// compose under the PR 8 versioned-cache semantics.
+// Key identifies one distance row: a source vertex at a graph version.
+// Versioned keys let mutations and queries overlap without blocking: a
+// query pinned to version v only ever sees rows of v, while a mutation
+// installs the next version's rows beside the old ones.
 type Key struct {
 	Src int32
 	Ver uint64
 }
 
-// Tier names where a Get found (or did not find) a row.
+// Tier names where a lookup found a row.
 type Tier uint8
 
 const (
-	// TierNone: not resident in any compressed tier.
+	// TierNone: resident in no tier; the lookup is a miss.
 	TierNone Tier = iota
+	// TierHot: an uncompressed row in the hot LRU (T1).
+	TierHot
 	// TierWarm: decoded from the in-memory compressed tier (T2).
 	TierWarm
 	// TierCold: decoded from the disk arena (T3).
@@ -34,6 +37,8 @@ const (
 
 func (t Tier) String() string {
 	switch t {
+	case TierHot:
+		return "hot"
 	case TierWarm:
 		return "warm"
 	case TierCold:
@@ -43,27 +48,31 @@ func (t Tier) String() string {
 	}
 }
 
-// Verdict is a reconciliation decision for one frame at the mutating
+// Verdict is a reconciliation decision for one row at the mutating
 // version (the store-side mirror of dyn.RowVerdict, kept local so the
 // store does not depend on the mutation machinery).
 type Verdict uint8
 
 const (
-	// Keep: the row is exact in the new graph; retag the frame for free.
+	// Keep: the row is exact in the new graph; carry it over for free.
 	Keep Verdict = iota
-	// Repair: the row needs the caller's in-place repair, then re-encode.
+	// Repair: the row needs the caller's in-place repair.
 	Repair
-	// Drop: the row is stale; discard the frame.
+	// Drop: the row is stale; do not carry it over.
 	Drop
 )
 
 // Config tunes a Store.
 type Config struct {
-	// N is the row length (the served graph's vertex count). Every Put
-	// and Get moves rows of exactly this length.
+	// N is the row length (the served graph's vertex count). Every tier
+	// holds rows of exactly this length.
 	N int
+	// HotBytes budgets the hot tier (T1): uncompressed rows at 4*N bytes
+	// each in a byte-accounted LRU. At least one row is always retained.
+	HotBytes int64
 	// WarmBytes budgets the in-memory compressed tier; <= 0 disables it
-	// (every Put goes straight to spill, or is dropped when spill is off).
+	// (T1 evictions go straight to spill, or are dropped when spill is
+	// off too).
 	WarmBytes int64
 	// SpillBytes budgets the live bytes of the disk arena; <= 0 disables
 	// spilling entirely.
@@ -77,9 +86,9 @@ type Config struct {
 	// Refs is the optional compression dictionary (nearest-landmark
 	// reference rows); nil encodes every frame as self-delta.
 	Refs RefProvider
-	// Metrics receives the store's internal counters (store.*): spill
-	// timing, compactions, decode/roundtrip errors, recovered frames.
-	// nil creates a private registry.
+	// Metrics receives the store's counters: the row ledger (see ledger)
+	// and the internal store.* counters — spill timing, compactions,
+	// decode errors, recovered frames. nil creates a private registry.
 	Metrics *obs.Metrics
 }
 
@@ -102,18 +111,32 @@ type entry struct {
 	// Retagging rebinds key without rewriting the record, so the two can
 	// differ; arena reads validate the header against diskKey.
 	diskKey Key
-	elem   *list.Element
+	elem    *list.Element
 	// dropped marks an entry the index abandoned while it sat in the
 	// spill queue; the writeback goroutine discards it on arrival.
 	dropped bool
 }
 
-// Store is the warm+cold compressed row store. All index state is behind
-// one mutex; the only long-running work under it is a frame decode
-// (O(n) varint scan). Arena file I/O happens in the writeback goroutine
-// and in Get's cold reads (the arena has its own lock).
+// Store owns every finished row, from its in-flight promote or solve
+// through three exclusive tiers: T1 (hot, uncompressed), T2 (warm,
+// compressed frames) and T3 (cold, frames in the disk arena).
+//
+// T1 and the flights sit behind hotMu; the warm/cold index sits behind mu,
+// whose only long-running work is a frame decode (O(n) varint scan) and
+// Reconcile's frame loop. No code holds one lock while taking the other,
+// so a T1 hit never waits on a decode, arena I/O or the frame loop. Arena
+// file I/O happens in the writeback goroutine and in cold reads (the
+// arena has its own lock).
 type Store struct {
 	cfg Config
+	led ledger
+
+	hotMu    sync.Mutex
+	hot      map[Key]*hotRow
+	hotLRU   *list.List // front = most recently used
+	hotBytes int64
+	hotCap   int64
+	flights  map[flightKey]*flight
 
 	mu      sync.Mutex
 	index   map[Key]*entry
@@ -144,6 +167,51 @@ type Store struct {
 	recovered  *obs.Counter
 }
 
+// ledger is the store's row ledger, published under the serve.* names the
+// serving layer reads. Every row lookup counts once in
+// serve.store.lookups and serve.cache.lookups and lands in exactly one
+// of serve.store.{t1_hits, t2_promotes, t3_promotes, misses}; the serving
+// layer adds its sketch answers to serve.store.lookups, so
+//
+//	serve.store.lookups == sketch_answered + t1_hits + t2_promotes + t3_promotes + misses
+//
+// serve.cache.coalesced is the subset of t1_hits that waited on a flight.
+// Reconcile adds its RecStats to serve.store.dyn.*.
+type ledger struct {
+	lookups, rowLookups, coalesced, demotes *obs.Counter
+	found                                   [TierCold + 1]*obs.Counter // by tier; TierNone counts misses
+	promoteT                                [TierCold + 1]obs.Timing   // TierWarm and TierCold only
+	demoteT                                 obs.Timing
+
+	scanned, retagged, repaired, repairedLabels, dropped, aged *obs.Counter
+}
+
+func newLedger(reg *obs.Metrics) ledger {
+	return ledger{
+		lookups:    reg.Counter("serve.store.lookups"),
+		rowLookups: reg.Counter("serve.cache.lookups"),
+		coalesced:  reg.Counter("serve.cache.coalesced"),
+		demotes:    reg.Counter("serve.store.demotes"),
+		found: [...]*obs.Counter{
+			TierNone: reg.Counter("serve.store.misses"),
+			TierHot:  reg.Counter("serve.store.t1_hits"),
+			TierWarm: reg.Counter("serve.store.t2_promotes"),
+			TierCold: reg.Counter("serve.store.t3_promotes"),
+		},
+		promoteT: [...]obs.Timing{
+			TierWarm: reg.Timing("serve.store.t2_promote"),
+			TierCold: reg.Timing("serve.store.t3_promote"),
+		},
+		demoteT:        reg.Timing("serve.store.demote"),
+		scanned:        reg.Counter("serve.store.dyn.scanned"),
+		retagged:       reg.Counter("serve.store.dyn.retagged"),
+		repaired:       reg.Counter("serve.store.dyn.repaired"),
+		repairedLabels: reg.Counter("serve.store.dyn.repaired_labels"),
+		dropped:        reg.Counter("serve.store.dyn.dropped"),
+		aged:           reg.Counter("serve.store.dyn.aged"),
+	}
+}
+
 // Open builds the store, creating or recovering the spill arena when
 // enabled. Recovered arena records whose version is 1 re-seed the cold
 // tier (a fresh server always starts at version 1 of the same
@@ -156,8 +224,17 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
+	hotCap := cfg.HotBytes
+	if hotCap < 1 {
+		hotCap = 1
+	}
 	s := &Store{
 		cfg:        cfg,
+		led:        newLedger(cfg.Metrics),
+		hot:        make(map[Key]*hotRow),
+		hotLRU:     list.New(),
+		hotCap:     hotCap,
+		flights:    make(map[flightKey]*flight),
 		index:      make(map[Key]*entry),
 		warmLRU:    list.New(),
 		coldLRU:    list.New(),
@@ -203,11 +280,11 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Put encodes row and admits it to the warm tier (or directly to the
-// spill queue when the warm tier is disabled). An existing frame for the
-// same key is replaced. Rows are copied by encoding — the caller keeps
-// ownership of row.
-func (s *Store) Put(key Key, row []matrix.Dist) {
+// put encodes row and admits it to the warm tier (or directly to the
+// spill queue when the warm tier is disabled): T1's demotion. An existing
+// frame for the same key is replaced. Rows are copied by encoding — the
+// caller keeps ownership of row.
+func (s *Store) put(key Key, row []matrix.Dist) {
 	if len(row) != s.cfg.N {
 		return
 	}
@@ -254,13 +331,12 @@ func (s *Store) Put(key Key, row []matrix.Dist) {
 	s.enqueueSpillLocked(e)
 }
 
-// Get removes and decodes the frame for key, returning the row and the
-// tier it came from, or (nil, TierNone). The returned row is freshly
-// decoded into dst when dst has capacity (else allocated) — promotion is
-// exclusive, so the frame leaves the store. A frame that fails to decode
-// (corrupt arena record, missing dictionary) counts a decode error and
-// reports a miss; the caller re-solves.
-func (s *Store) Get(key Key, dst []matrix.Dist) ([]matrix.Dist, Tier) {
+// get removes and decodes the warm or cold frame for key, returning a
+// freshly allocated row and the tier it came from, or (nil, TierNone).
+// Promotion is exclusive, so the frame leaves the store. A frame that
+// fails to decode (corrupt arena record, missing dictionary) counts a
+// decode error and reports a miss; the caller re-solves.
+func (s *Store) get(key Key) ([]matrix.Dist, Tier) {
 	s.mu.Lock()
 	e, ok := s.index[key]
 	if !ok || s.closed {
@@ -294,7 +370,7 @@ func (s *Store) Get(key Key, dst []matrix.Dist) ([]matrix.Dist, Tier) {
 			return nil, TierNone
 		}
 	}
-	row, err := DecodeFrame(buf, s.cfg.N, dst, s.cfg.Refs)
+	row, err := DecodeFrame(buf, s.cfg.N, nil, s.cfg.Refs)
 	if err != nil {
 		s.decodeErrs.Add(1)
 		return nil, TierNone
@@ -302,35 +378,51 @@ func (s *Store) Get(key Key, dst []matrix.Dist) ([]matrix.Dist, Tier) {
 	return row, tier
 }
 
-// Contains reports whether key is resident in any tier.
-func (s *Store) Contains(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
-// RecStats is one Reconcile's ledger: Scanned == Retagged + Repaired +
-// Dropped, with Aged counting frames of versions older than the mutating
+// RecStats is one Reconcile's ledger over every tier: Scanned ==
+// Retagged + Repaired + Dropped, RepairedLabels sums what repair
+// returned, and Aged counts frames of versions older than the mutating
 // one (no query can reach them once the new version publishes; they are
 // discarded without classification).
 type RecStats struct {
-	Scanned, Retagged, Repaired, Dropped, Aged int
+	Scanned, Retagged, Repaired, RepairedLabels, Dropped, Aged int
 }
 
-// Reconcile carries frames at oldVer over to newVer during a mutation's
-// pre-publish window, mirroring the hot tier's retag/repair/drop rules:
-// judge classifies each decoded row, repair fixes a Repair-classified row
-// in place (the row is then exact at newVer and re-encoded), and frames
-// older than oldVer are aged out. Retagging costs no re-encode — the
-// frame bytes are content-addressed by the reference dictionary, not the
-// version — and cold frames retag without touching the disk.
-func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) Verdict, repair func(row []matrix.Dist)) RecStats {
+// Reconcile carries the rows at oldVer over to newVer during a mutation's
+// pre-publish window, T1 first: judge classifies each row, repair fixes a
+// Repair-classified row in place and returns the labels it lowered, and a
+// Drop verdict leaves the row behind. T1 keeps its oldVer rows for
+// readers still pinned to that version and installs the carried rows
+// beside them. Warm and cold frames are retagged or repaired in place —
+// a retag re-encodes nothing (frame bytes are content-addressed by the
+// reference dictionary, not the version) and cold frames retag without
+// touching the disk — and frames older than oldVer age out. No Load can
+// run at newVer before the caller publishes it, so no flight races the
+// installs.
+func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) Verdict, repair func(row []matrix.Dist) int) RecStats {
 	var st RecStats
+	evicted := s.reconcileHot(oldVer, newVer, judge, repair, &st)
+	s.reconcileFrames(oldVer, newVer, judge, repair, &st)
+	// Rows the T1 installs evicted demote only now, so the frame loop
+	// neither rescans them nor carries an oldVer frame onto a key T1
+	// already holds at newVer.
+	s.demote(evicted)
+	l := &s.led
+	l.scanned.Add(int64(st.Scanned))
+	l.retagged.Add(int64(st.Retagged))
+	l.repaired.Add(int64(st.Repaired))
+	l.repairedLabels.Add(int64(st.RepairedLabels))
+	l.dropped.Add(int64(st.Dropped))
+	l.aged.Add(int64(st.Aged))
+	return st
+}
+
+// reconcileFrames is Reconcile's warm/cold pass. It holds mu throughout,
+// never hotMu, so T1 hits proceed while it runs.
+func (s *Store) reconcileFrames(oldVer, newVer uint64, judge func([]matrix.Dist) Verdict, repair func([]matrix.Dist) int, st *RecStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return st
+		return
 	}
 	keys := make([]Key, 0, len(s.index))
 	for k := range s.index {
@@ -383,7 +475,7 @@ func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) V
 			s.retagLocked(e, Key{Src: k.Src, Ver: newVer})
 			st.Retagged++
 		case Repair:
-			repair(row)
+			st.RepairedLabels += repair(row)
 			s.removeLocked(e)
 			s.putWarmLocked(Key{Src: k.Src, Ver: newVer}, row)
 			st.Repaired++
@@ -393,7 +485,6 @@ func (s *Store) Reconcile(oldVer, newVer uint64, judge func(row []matrix.Dist) V
 		}
 	}
 	s.evictWarmLocked()
-	return st
 }
 
 // putWarmLocked encodes and inserts a row under the store mutex (the
@@ -609,6 +700,8 @@ func (s *Store) arenaSize() int64 {
 // Stats is a point-in-time residency snapshot for /healthz and the
 // storebench report.
 type Stats struct {
+	HotRows   int
+	HotBytes  int64
 	WarmRows  int
 	WarmBytes int64
 	ColdRows  int
@@ -618,13 +711,12 @@ type Stats struct {
 
 // Snapshot returns the current residency stats.
 func (s *Store) Snapshot() Stats {
+	s.hotMu.Lock()
+	st := Stats{HotRows: s.hotLRU.Len(), HotBytes: s.hotBytes}
+	s.hotMu.Unlock()
 	s.mu.Lock()
-	st := Stats{
-		WarmRows:  s.warmLRU.Len(),
-		WarmBytes: s.warm,
-		ColdRows:  s.coldLRU.Len(),
-		ColdBytes: s.cold,
-	}
+	st.WarmRows, st.WarmBytes = s.warmLRU.Len(), s.warm
+	st.ColdRows, st.ColdBytes = s.coldLRU.Len(), s.cold
 	s.mu.Unlock()
 	if s.arena != nil {
 		st.ArenaFile = s.arenaSize()

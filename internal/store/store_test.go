@@ -22,6 +22,17 @@ func waitCold(t *testing.T, s *Store, rows int) {
 	t.Fatalf("cold tier never reached %d rows: %+v", rows, s.Snapshot())
 }
 
+// contains reports whether key is resident in any tier.
+func (s *Store) contains(key Key) bool {
+	s.hotMu.Lock()
+	_, hot := s.hot[key]
+	s.hotMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.index[key]
+	return hot || ok
+}
+
 func mustOpen(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	s, err := Open(cfg)
@@ -32,8 +43,8 @@ func mustOpen(t *testing.T, cfg Config) *Store {
 	return s
 }
 
-// TestWarmPutGet covers the exclusive-promote contract: a Get removes the
-// frame, decodes it bitwise-equal, and a second Get misses.
+// TestWarmPutGet covers the exclusive-promote contract: a get removes the
+// frame, decodes it bitwise-equal, and a second get misses.
 func TestWarmPutGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 512
@@ -41,14 +52,14 @@ func TestWarmPutGet(t *testing.T) {
 	rows := make([][]matrix.Dist, 8)
 	for i := range rows {
 		rows[i] = genRow(rng, n, "powerlaw")
-		s.Put(Key{Src: int32(i), Ver: 1}, rows[i])
+		s.put(Key{Src: int32(i), Ver: 1}, rows[i])
 	}
 	st := s.Snapshot()
 	if st.WarmRows != 8 || st.WarmBytes <= 0 {
 		t.Fatalf("warm tier after 8 puts: %+v", st)
 	}
 	for i := range rows {
-		got, tier := s.Get(Key{Src: int32(i), Ver: 1}, nil)
+		got, tier := s.get(Key{Src: int32(i), Ver: 1})
 		if tier != TierWarm {
 			t.Fatalf("row %d from tier %v", i, tier)
 		}
@@ -57,7 +68,7 @@ func TestWarmPutGet(t *testing.T) {
 				t.Fatalf("row %d entry %d drifts", i, j)
 			}
 		}
-		if _, tier := s.Get(Key{Src: int32(i), Ver: 1}, nil); tier != TierNone {
+		if _, tier := s.get(Key{Src: int32(i), Ver: 1}); tier != TierNone {
 			t.Fatalf("row %d still resident after promote", i)
 		}
 	}
@@ -67,7 +78,7 @@ func TestWarmPutGet(t *testing.T) {
 }
 
 // TestWarmEvictsToSpill fills the warm tier past its budget and checks
-// the overflow lands in the cold tier and survives a Get round-trip.
+// the overflow lands in the cold tier and survives a get round-trip.
 func TestWarmEvictsToSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 1024
@@ -85,12 +96,12 @@ func TestWarmEvictsToSpill(t *testing.T) {
 	rows := make([][]matrix.Dist, 10)
 	for i := range rows {
 		rows[i] = genRow(rng, n, "extremes")
-		s.Put(Key{Src: int32(i), Ver: 1}, rows[i])
+		s.put(Key{Src: int32(i), Ver: 1}, rows[i])
 	}
 	waitCold(t, s, 5)
 	var fromCold int
 	for i := range rows {
-		got, tier := s.Get(Key{Src: int32(i), Ver: 1}, nil)
+		got, tier := s.get(Key{Src: int32(i), Ver: 1})
 		if tier == TierNone {
 			t.Fatalf("row %d lost", i)
 		}
@@ -122,7 +133,7 @@ func TestColdBudgetEvicts(t *testing.T) {
 		Fingerprint: 42,
 	})
 	for i := 0; i < 20; i++ {
-		s.Put(Key{Src: int32(i), Ver: 1}, genRow(rng, n, "extremes"))
+		s.put(Key{Src: int32(i), Ver: 1}, genRow(rng, n, "extremes"))
 	}
 	waitCold(t, s, 1)
 	time.Sleep(50 * time.Millisecond) // let the queue drain
@@ -148,9 +159,9 @@ func TestRecoverySeedsColdTier(t *testing.T) {
 	}
 	for i := int32(0); i < 6; i++ {
 		rows[i] = genRow(rng, n, "powerlaw")
-		s.Put(Key{Src: i, Ver: 1}, rows[i])
+		s.put(Key{Src: i, Ver: 1}, rows[i])
 	}
-	s.Put(Key{Src: 100, Ver: 2}, genRow(rng, n, "grid"))
+	s.put(Key{Src: 100, Ver: 2}, genRow(rng, n, "grid"))
 	waitCold(t, s, 7)
 	s.Close()
 
@@ -159,11 +170,11 @@ func TestRecoverySeedsColdTier(t *testing.T) {
 	if st.ColdRows != 6 {
 		t.Fatalf("recovered %d rows, want 6 (the ver-1 frames)", st.ColdRows)
 	}
-	if s2.Contains(Key{Src: 100, Ver: 2}) {
+	if s2.contains(Key{Src: 100, Ver: 2}) {
 		t.Fatal("ver-2 frame resurrected at restart")
 	}
 	for i := int32(0); i < 6; i++ {
-		got, tier := s2.Get(Key{Src: i, Ver: 1}, nil)
+		got, tier := s2.get(Key{Src: i, Ver: 1})
 		if tier != TierCold {
 			t.Fatalf("row %d from tier %v after recovery", i, tier)
 		}
@@ -185,7 +196,7 @@ func TestRecoveryFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(Key{Src: 0, Ver: 1}, genRow(rng, n, "grid"))
+	s.put(Key{Src: 0, Ver: 1}, genRow(rng, n, "grid"))
 	waitCold(t, s, 1)
 	s.Close()
 
@@ -209,7 +220,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	want := map[int32][]matrix.Dist{}
 	for i := int32(0); i < 4; i++ {
 		want[i] = genRow(rng, n, "powerlaw")
-		s.Put(Key{Src: i, Ver: 1}, want[i])
+		s.put(Key{Src: i, Ver: 1}, want[i])
 	}
 	waitCold(t, s, 4)
 	s.Close()
@@ -229,7 +240,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 		t.Fatalf("recovered %d rows after torn tail, want 3", st.ColdRows)
 	}
 	for i := int32(0); i < 3; i++ {
-		got, tier := s2.Get(Key{Src: i, Ver: 1}, nil)
+		got, tier := s2.get(Key{Src: i, Ver: 1})
 		if tier != TierCold {
 			t.Fatalf("row %d from tier %v", i, tier)
 		}
@@ -250,9 +261,9 @@ func TestReconcile(t *testing.T) {
 	rows := map[int32][]matrix.Dist{}
 	for i := int32(0); i < 9; i++ {
 		rows[i] = genRow(rng, n, "grid")
-		s.Put(Key{Src: i, Ver: 2}, rows[i])
+		s.put(Key{Src: i, Ver: 2}, rows[i])
 	}
-	s.Put(Key{Src: 50, Ver: 1}, genRow(rng, n, "grid")) // aged out
+	s.put(Key{Src: 50, Ver: 1}, genRow(rng, n, "grid")) // aged out
 
 	st := s.Reconcile(2, 3, func(row []matrix.Dist) Verdict {
 		switch int(row[0]) % 3 {
@@ -263,8 +274,9 @@ func TestReconcile(t *testing.T) {
 		default:
 			return Drop
 		}
-	}, func(row []matrix.Dist) {
+	}, func(row []matrix.Dist) int {
 		row[1] = 99
+		return 1
 	})
 	if st.Scanned != 9 || st.Scanned != st.Retagged+st.Repaired+st.Dropped {
 		t.Fatalf("reconcile ledger broken: %+v", st)
@@ -273,7 +285,7 @@ func TestReconcile(t *testing.T) {
 		t.Fatalf("aged %d, want 1", st.Aged)
 	}
 	for i := int32(0); i < 9; i++ {
-		got, tier := s.Get(Key{Src: i, Ver: 3}, nil)
+		got, tier := s.get(Key{Src: i, Ver: 3})
 		switch int(rows[i][0]) % 3 {
 		case 0: // retagged: identical content at the new version
 			if tier == TierNone {
@@ -296,11 +308,11 @@ func TestReconcile(t *testing.T) {
 				t.Fatalf("dropped row %d still resident", i)
 			}
 		}
-		if s.Contains(Key{Src: i, Ver: 2}) {
+		if s.contains(Key{Src: i, Ver: 2}) {
 			t.Fatalf("row %d still resident at the old version", i)
 		}
 	}
-	if s.Contains(Key{Src: 50, Ver: 1}) {
+	if s.contains(Key{Src: 50, Ver: 1}) {
 		t.Fatal("aged frame still resident")
 	}
 }
@@ -328,7 +340,7 @@ func TestCompaction(t *testing.T) {
 	for i := int32(0); i < 400; i++ {
 		row := genRow(rng, n, "extremes")
 		keep[i] = row
-		s.Put(Key{Src: i, Ver: 1}, row)
+		s.put(Key{Src: i, Ver: 1}, row)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -352,7 +364,7 @@ func TestCompaction(t *testing.T) {
 	// Whatever survived must still round-trip.
 	var checked int
 	for i := int32(0); i < 400 && checked < 2; i++ {
-		got, tier := s.Get(Key{Src: i, Ver: 1}, nil)
+		got, tier := s.get(Key{Src: i, Ver: 1})
 		if tier == TierNone {
 			continue
 		}
@@ -436,7 +448,7 @@ func TestReconcileRetagsColdFrames(t *testing.T) {
 	rows := map[int32][]matrix.Dist{}
 	for i := int32(0); i < 4; i++ {
 		rows[i] = genRow(rng, n, "powerlaw")
-		s.Put(Key{Src: i, Ver: 1}, rows[i])
+		s.put(Key{Src: i, Ver: 1}, rows[i])
 	}
 	waitCold(t, s, 4)
 	st := s.Reconcile(1, 2, func([]matrix.Dist) Verdict { return Keep }, nil)
@@ -444,7 +456,7 @@ func TestReconcileRetagsColdFrames(t *testing.T) {
 		t.Fatalf("retagged %d of 4: %+v", st.Retagged, st)
 	}
 	for i := int32(0); i < 4; i++ {
-		got, tier := s.Get(Key{Src: i, Ver: 2}, nil)
+		got, tier := s.get(Key{Src: i, Ver: 2})
 		if tier != TierCold {
 			t.Fatalf("retagged row %d from tier %v", i, tier)
 		}
@@ -459,8 +471,8 @@ func TestReconcileRetagsColdFrames(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentChurn hammers Put/Get/Reconcile from several
-// goroutines under -race.
+// TestStoreConcurrentChurn hammers put/get from several goroutines under
+// -race.
 func TestStoreConcurrentChurn(t *testing.T) {
 	n := 256
 	s := mustOpen(t, Config{
@@ -477,9 +489,9 @@ func TestStoreConcurrentChurn(t *testing.T) {
 			for j := 0; j < 300; j++ {
 				src := int32(rng.Intn(64))
 				if rng.Intn(2) == 0 {
-					s.Put(Key{Src: src, Ver: 1}, genRow(rng, n, "powerlaw"))
+					s.put(Key{Src: src, Ver: 1}, genRow(rng, n, "powerlaw"))
 				} else {
-					s.Get(Key{Src: src, Ver: 1}, nil)
+					s.get(Key{Src: src, Ver: 1})
 				}
 			}
 			done <- struct{}{}

@@ -64,4 +64,7 @@ scripts/kernelgate.sh
 echo "== tiered-store memory gate (reduced-scale storebench vs checked-in baseline)"
 scripts/storegate.sh
 
+echo "== benchmark module: vet + smoke test (its own go.mod; the root build skips it)"
+(cd cmd/parapspbench && go vet . && go test -count=1 .)
+
 echo "OK"
