@@ -80,7 +80,7 @@ func BenchmarkFig1Schedule(b *testing.B) {
 		for _, p := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/threads=%d", scheme, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.SSSPPhase(g, src, p, scheme, core.Options{}); err != nil {
+					if _, _, err := core.SSSPPhase(g, src, p, scheme, core.Options{Kernel: core.KernelDijkstra}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -129,7 +129,7 @@ func BenchmarkFig5SSSPByOrder(b *testing.B) {
 		for _, p := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/threads=%d", name, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := core.SSSPPhase(g, src, p, sched.DynamicCyclic, core.Options{}); err != nil {
+					if _, _, err := core.SSSPPhase(g, src, p, sched.DynamicCyclic, core.Options{Kernel: core.KernelDijkstra}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -289,7 +289,7 @@ func BenchmarkAblationBucketCount(b *testing.B) {
 	for name, src := range cases {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.SSSPPhase(g, src, 4, sched.DynamicCyclic, core.Options{}); err != nil {
+				if _, _, err := core.SSSPPhase(g, src, 4, sched.DynamicCyclic, core.Options{Kernel: core.KernelDijkstra}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,7 +31,7 @@ func main() {
 	var (
 		workers   = flag.Int("workers", 1, "parallel workers")
 		algorithm = flag.String("algorithm", "ParAPSP", "seq-basic|seq-optimized|seq-adaptive|ParAlg1|ParAlg2|ParAPSP")
-		kernelSel = flag.String("kernel", "", "SSSP kernel: "+strings.Join(core.Kernels(), "|")+", or "+core.KernelAuto+" to pick from graph features (default: static policy)")
+		kernelSel = flag.String("kernel", "", "SSSP kernel: "+strings.Join(core.Kernels(), "|")+"; empty or "+core.KernelAuto+" picks from the graph and the options")
 		top       = flag.Int("top", 10, "how many central vertices to print")
 		pathQuery = flag.String("path", "", "print a shortest path between two original vertex ids, e.g. -path 17,4025")
 		maxMem    = flag.Uint64("maxmem-mb", 8192, "distance-matrix memory bound in MiB")

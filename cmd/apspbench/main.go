@@ -38,7 +38,7 @@ func main() {
 		runs    = flag.Int("runs", 1, "repetitions per measurement (paper: 10)")
 		seed    = flag.Int64("seed", 42, "random seed for the synthetic datasets")
 		maxMem  = flag.Uint64("maxmem-mb", 4096, "distance-matrix memory bound in MiB")
-		kern    = flag.String("kernel", "", "SSSP kernel of the -trace/-metrics solve: "+strings.Join(core.Kernels(), "|")+", or "+core.KernelAuto+" to pick from graph features (default: static policy)")
+		kern    = flag.String("kernel", "", "SSSP kernel of the -trace/-metrics solve: "+strings.Join(core.Kernels(), "|")+"; empty or "+core.KernelAuto+" picks from the graph and the options")
 		bjson   = flag.String("benchjson", "", "write the kernels experiment report as JSON to this path and exit")
 		kjson   = flag.String("kerneljson", "", "write the kernelcmp experiment report as JSON to this path and exit")
 		batchj  = flag.String("batchjson", "", "write the batch experiment report as JSON to this path and exit")

@@ -46,7 +46,7 @@ func main() {
 	lf.Register(flag.CommandLine, "graph")
 	var (
 		genN         = flag.Int("gen", 0, "instead of -graph: serve a synthetic Barabasi-Albert graph with this many vertices")
-		kernelSel    = flag.String("kernel", "", "subset-solver SSSP kernel: "+strings.Join(core.Kernels(), "|")+", or "+core.KernelAuto+" to pick per solve from graph features (default: static policy)")
+		kernelSel    = flag.String("kernel", "", "subset-solver SSSP kernel: "+strings.Join(core.Kernels(), "|")+"; empty or "+core.KernelAuto+" picks per solve from the graph, the source count and the options")
 		addr         = flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
 		workers      = flag.Int("workers", 1, "solver workers per subset solve")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "hot-tier (T1) byte budget for uncompressed rows, 4*n bytes per row (0: 256 rows)")

@@ -265,7 +265,7 @@ func schedSweep(cfg Config, g *graph.Graph, src []int32, schemes []sched.Scheme)
 		for _, p := range sortedCopy(cfg.Threads) {
 			var err error
 			d := Measure(cfg.Runs, p, func() {
-				_, _, err = core.SSSPPhase(g, src, p, scheme, core.Options{})
+				_, _, err = core.SSSPPhase(g, src, p, scheme, core.Options{Kernel: core.KernelDijkstra})
 			})
 			if err != nil {
 				return nil, err
@@ -448,7 +448,7 @@ func runFig5(cfg Config, w io.Writer) error {
 		for _, p := range sortedCopy(cfg.Threads) {
 			var err error
 			d := Measure(cfg.Runs, p, func() {
-				_, _, err = core.SSSPPhase(g, o.src, p, sched.DynamicCyclic, core.Options{})
+				_, _, err = core.SSSPPhase(g, o.src, p, sched.DynamicCyclic, core.Options{Kernel: core.KernelDijkstra})
 			})
 			if err != nil {
 				return err
@@ -508,11 +508,11 @@ func runFig6(cfg Config, w io.Writer) error {
 }
 
 // overallSweep measures full Solve runs (ordering + SSSP) for each
-// algorithm across the thread sweep. The paper-figure experiments pin
-// BatchOff: they reproduce the paper's mechanism (iterated modified
-// Dijkstra with row reuse), which the multi-source batch engine would
-// silently replace on graphs past the Auto threshold. The batch engine
-// has its own experiment (batch) and report (BENCH_PR4.json).
+// algorithm across the thread sweep. The paper-figure experiments name the
+// dijkstra kernel: they reproduce the paper's mechanism (iterated modified
+// Dijkstra with row reuse), which the default dispatch would replace with
+// a stepping or lane kernel on some graphs. The lane engines have their
+// own experiment (batch) and report (BENCH_PR4.json).
 func overallSweep(cfg Config, g *graph.Graph, algs []core.Algorithm) (map[core.Algorithm][]time.Duration, error) {
 	out := make(map[core.Algorithm][]time.Duration)
 	for _, alg := range algs {
@@ -520,7 +520,7 @@ func overallSweep(cfg Config, g *graph.Graph, algs []core.Algorithm) (map[core.A
 		for _, p := range sortedCopy(cfg.Threads) {
 			var err error
 			d := Measure(cfg.Runs, p, func() {
-				_, err = core.Solve(g, alg, core.Options{Workers: p, MaxMemBytes: cfg.MaxMemBytes, Batch: core.BatchOff})
+				_, err = core.Solve(g, alg, core.Options{Workers: p, MaxMemBytes: cfg.MaxMemBytes, Kernel: core.KernelDijkstra})
 			})
 			if err != nil {
 				return nil, err
@@ -626,7 +626,7 @@ func runFig10(cfg Config, w io.Writer) error {
 		for _, p := range sortedCopy(cfg.Threads) {
 			var err error
 			d := Measure(cfg.Runs, p, func() {
-				_, err = core.Solve(g, core.ParAPSP, core.Options{Workers: p, MaxMemBytes: cfg.MaxMemBytes, Batch: core.BatchOff})
+				_, err = core.Solve(g, core.ParAPSP, core.Options{Workers: p, MaxMemBytes: cfg.MaxMemBytes, Kernel: core.KernelDijkstra})
 			})
 			if err != nil {
 				return err
@@ -665,7 +665,7 @@ func runSeqGap(cfg Config, w io.Writer) error {
 			runs = 1
 		}
 		Measure(runs, 1, func() {
-			res, err2 := core.Solve(g, alg, core.Options{MaxMemBytes: cfg.MaxMemBytes, Batch: core.BatchOff})
+			res, err2 := core.Solve(g, alg, core.Options{MaxMemBytes: cfg.MaxMemBytes, Kernel: core.KernelDijkstra})
 			if err2 != nil {
 				err = err2
 				return
@@ -711,11 +711,11 @@ func runBaselines(cfg Config, w io.Writer) error {
 		{"repeated heap Dijkstra", func() *matrix.Matrix { return baseline.DijkstraAPSP(g) }},
 		{"repeated SPFA (no reuse)", func() *matrix.Matrix { return baseline.SPFAAPSP(g) }},
 		{"seq-basic (Peng Alg 2)", func() *matrix.Matrix {
-			r, _ := core.Solve(g, core.SeqBasic, core.Options{Batch: core.BatchOff})
+			r, _ := core.Solve(g, core.SeqBasic, core.Options{Kernel: core.KernelDijkstra})
 			return r.D
 		}},
 		{"seq-optimized (Peng Alg 3)", func() *matrix.Matrix {
-			r, _ := core.Solve(g, core.SeqOptimized, core.Options{Batch: core.BatchOff})
+			r, _ := core.Solve(g, core.SeqOptimized, core.Options{Kernel: core.KernelDijkstra})
 			return r.D
 		}},
 	}
@@ -791,12 +791,12 @@ func runExactness(cfg Config, w io.Writer) error {
 			return err
 		}
 	}
-	for _, mode := range []core.BatchMode{core.BatchOff, core.BatchForce} {
-		res, err := core.Solve(g, core.ParAPSP, core.Options{Workers: 4, Batch: mode, MaxMemBytes: cfg.MaxMemBytes})
+	for _, kern := range []string{core.KernelDijkstra, laneKernel(g)} {
+		res, err := core.Solve(g, core.ParAPSP, core.Options{Workers: 4, Kernel: kern, MaxMemBytes: cfg.MaxMemBytes})
 		if err != nil {
 			return err
 		}
-		if err := check(fmt.Sprintf("ParAPSP batch=%s (%s)", mode, res.Engine), res.D); err != nil {
+		if err := check(fmt.Sprintf("ParAPSP kernel=%s (%s)", kern, res.Engine), res.D); err != nil {
 			return err
 		}
 	}
@@ -818,7 +818,7 @@ func runAblationQueue(cfg Config, w io.Writer) error {
 		name string
 		opts core.Options
 	}{
-		{"dedup FIFO (SPFA bitmap)", core.Options{Batch: core.BatchOff}},
+		{"dedup FIFO (SPFA bitmap)", core.Options{Kernel: core.KernelDijkstra}},
 		{"paper FIFO (duplicates)", core.Options{PaperQueue: true}},
 		{"binary heap (Dijkstra)", core.Options{HeapQueue: true}},
 	} {
@@ -866,7 +866,7 @@ func runAblationBuckets(cfg Config, w io.Writer) error {
 		exact := order.SortedByKeysDesc(degrees, c.src)
 		var err error
 		d := Measure(cfg.Runs, 4, func() {
-			_, _, err = core.SSSPPhase(g, c.src, 4, sched.DynamicCyclic, core.Options{})
+			_, _, err = core.SSSPPhase(g, c.src, 4, sched.DynamicCyclic, core.Options{Kernel: core.KernelDijkstra})
 		})
 		if err != nil {
 			return err
@@ -915,7 +915,7 @@ func runAblationReuse(cfg Config, w io.Writer) error {
 		for _, p := range sortedCopy(cfg.Threads) {
 			var err error
 			d := Measure(cfg.Runs, p, func() {
-				_, err = core.Solve(g, core.ParAPSP, core.Options{Workers: p, DisableRowReuse: disable, MaxMemBytes: cfg.MaxMemBytes, Batch: core.BatchOff})
+				_, err = core.Solve(g, core.ParAPSP, core.Options{Workers: p, DisableRowReuse: disable, MaxMemBytes: cfg.MaxMemBytes, Kernel: core.KernelDijkstra})
 			})
 			if err != nil {
 				return err
@@ -962,12 +962,12 @@ func runComplexity(cfg Config, w io.Writer) error {
 		}
 		var dBasic, dOpt time.Duration
 		dBasic = Measure(cfg.Runs, 1, func() {
-			if _, err2 := core.Solve(g, core.SeqBasic, core.Options{Batch: core.BatchOff}); err2 != nil {
+			if _, err2 := core.Solve(g, core.SeqBasic, core.Options{Kernel: core.KernelDijkstra}); err2 != nil {
 				err = err2
 			}
 		})
 		dOpt = Measure(cfg.Runs, 1, func() {
-			if _, err2 := core.Solve(g, core.SeqOptimized, core.Options{Batch: core.BatchOff}); err2 != nil {
+			if _, err2 := core.Solve(g, core.SeqOptimized, core.Options{Kernel: core.KernelDijkstra}); err2 != nil {
 				err = err2
 			}
 		})
@@ -1071,10 +1071,10 @@ func runWorkStats(cfg Config, w io.Writer) error {
 		alg  core.Algorithm
 		opts core.Options
 	}{
-		{"ParAlg1 (identity order)", core.ParAlg1, core.Options{Batch: core.BatchOff}},
-		{"ParAPSP (degree order)", core.ParAPSP, core.Options{Batch: core.BatchOff}},
+		{"ParAlg1 (identity order)", core.ParAlg1, core.Options{Kernel: core.KernelDijkstra}},
+		{"ParAPSP (degree order)", core.ParAPSP, core.Options{Kernel: core.KernelDijkstra}},
 		{"ParAPSP, reuse disabled", core.ParAPSP, core.Options{DisableRowReuse: true}},
-		{"ParAPSP, ParBuckets order", core.ParAPSP, core.Options{Ordering: order.ParBucketsProc, Batch: core.BatchOff}},
+		{"ParAPSP, ParBuckets order", core.ParAPSP, core.Options{Ordering: order.ParBucketsProc, Kernel: core.KernelDijkstra}},
 	} {
 		opts := c.opts
 		opts.Workers = 4
@@ -1124,7 +1124,7 @@ func runWeighted(cfg Config, w io.Writer) error {
 		var res *core.Result
 		var err error
 		d := Measure(cfg.Runs, 4, func() {
-			res, err = core.Solve(g, alg, core.Options{Workers: 4, MaxMemBytes: cfg.MaxMemBytes, Batch: core.BatchOff})
+			res, err = core.Solve(g, alg, core.Options{Workers: 4, MaxMemBytes: cfg.MaxMemBytes, Kernel: core.KernelDijkstra})
 		})
 		if err != nil {
 			return err
@@ -1166,7 +1166,7 @@ func runFig9Amdahl(cfg Config, w io.Writer) error {
 	tML := Measure(cfg.Runs, 1, func() { order.MultiLists(degrees, 1, 0.1) })
 	var errSSSP error
 	tSSSP := Measure(1, 1, func() {
-		_, _, errSSSP = core.SSSPPhase(g, src, 1, sched.DynamicCyclic, core.Options{})
+		_, _, errSSSP = core.SSSPPhase(g, src, 1, sched.DynamicCyclic, core.Options{Kernel: core.KernelDijkstra})
 	})
 	if errSSSP != nil {
 		return errSSSP

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -15,30 +16,31 @@ import (
 	"parapsp/internal/graph"
 )
 
-// The kernelcmp experiment races the registered scalar SSSP kernels —
-// the paper's modified Dijkstra, Δ-stepping, and the heap ablation —
-// through the same ParAPSP pipeline on weighted power-law and grid
-// graphs. Every kernel must produce the identical distance matrix (the
-// checksums are asserted, not just reported); the interesting output is
-// the time and work-counter differences, which separate the queue
-// discipline from the fold/row-reuse machinery the pipeline shares.
+// The kernelcmp experiment races the registered SSSP kernels that solve
+// weighted graphs — the paper's modified Dijkstra, the stepping kernels,
+// the heap ablation and the weighted lane kernel — through the same
+// ParAPSP pipeline on weighted power-law and grid graphs, each as a full
+// solve and as a seeded 64-source subset solve (a serving miss of a
+// /batch request, where few finished rows exist to fold). Every kernel
+// must produce the identical rows (the checksums are asserted, not just
+// reported); the interesting output is the time and work-counter
+// differences, which separate the queue discipline and the lane sweep from
+// the fold/row-reuse machinery the scalar kernels share.
 
 func init() {
 	register(Experiment{
 		ID:     "kernelcmp",
 		Paper:  "ours (kernel registry)",
 		Title:  "SSSP source-kernel comparison through the shared pipeline",
-		Expect: "identical checksums; lazy stepping (deltastar/rho) leads on weighted power-law, dijkstra holds grids, heap pays queue overhead, auto lands within a few percent of the per-dataset best",
+		Expect: "identical checksums; folding stepping kernels lead full weighted power-law solves, sweep leads its 64-source subsets, dijkstra holds grids, heap pays queue overhead, the default dispatch lands within a few percent of the per-dataset best",
 		Run:    runKernelCompare,
 	})
 }
 
-// cmpKernels are the scalar kernels the experiment races. The lane
-// kernels (msbfs/sweep) are excluded: they answer a different question
-// (multi-source batching, see the batch experiment), not queue
-// discipline. The adaptive "auto" selector runs as one extra row after
-// the race — its resolved pick and elapsed land in the report so the
-// regression gate can hold it to the per-dataset best.
+// cmpKernels are the kernels the experiment races (msbfs needs an
+// unweighted graph). The "auto" row runs after them with Options.Kernel
+// unset — the default dispatch — and records the kernel it resolved to,
+// so the regression gate can hold the default to the per-dataset best.
 var cmpKernels = []string{
 	core.KernelDijkstra,
 	core.KernelDelta,
@@ -46,7 +48,11 @@ var cmpKernels = []string{
 	core.KernelRho,
 	core.KernelParDij,
 	core.KernelHeap,
+	core.KernelSweep,
 }
+
+// kernelCmpSubset is the source count of each graph's subset dataset.
+const kernelCmpSubset = 64
 
 // KernelCompareReport is the machine-readable result of the kernelcmp
 // experiment, written to BENCH_PR6.json by cmd/apspbench -kerneljson.
@@ -55,7 +61,8 @@ type KernelCompareReport struct {
 	Datasets []KernelCompareDataset `json:"datasets"`
 }
 
-// KernelCompareDataset is one graph's kernel race.
+// KernelCompareDataset is one graph's kernel race: a full solve, or a
+// subset solve when the name ends in "/subset64".
 type KernelCompareDataset struct {
 	Dataset  string                `json:"dataset"`
 	Vertices int                   `json:"vertices"`
@@ -77,11 +84,12 @@ type KernelCompareResult struct {
 	// (core.KernelSteadyAllocs): 0 for the pooled scalar kernels, which
 	// bench_test.go asserts.
 	AllocsPerSolve float64 `json:"allocs_per_solve"`
-	Pops           int64   `json:"pops"`
-	Enqueues       int64   `json:"enqueues"`
-	EdgeScans      int64   `json:"edge_scans"`
-	EdgeUpdates    int64   `json:"edge_updates"`
-	Folds          int64   `json:"folds"`
+	// The work counters are a full solve's; subset rows leave them 0.
+	Pops        int64 `json:"pops"`
+	Enqueues    int64 `json:"enqueues"`
+	EdgeScans   int64 `json:"edge_scans"`
+	EdgeUpdates int64 `json:"edge_updates"`
+	Folds       int64 `json:"folds"`
 }
 
 // medianDuration returns the median of ds (mean of the middle pair for
@@ -118,6 +126,13 @@ func kernelCmpGraph(cfg Config, family string) (*graph.Graph, error) {
 	}
 }
 
+// kernelCmpRun is what one timed solve of the race leaves behind.
+type kernelCmpRun struct {
+	checksum uint64
+	kernel   string // the kernel that ran
+	stats    core.Counters
+}
+
 // BuildKernelCompareReport runs the kernel race and returns the
 // structured report. A checksum divergence between kernels is an error,
 // not a report row — the registry's contract is exactness.
@@ -129,91 +144,122 @@ func BuildKernelCompareReport(cfg Config) (*KernelCompareReport, error) {
 	// kernels' parallel regime, not the CI runner's core count.
 	threads := sortedCopy(cfg.Threads)
 	workers := threads[len(threads)-1]
+	prev := runtime.GOMAXPROCS(0)
+	if workers > prev {
+		runtime.GOMAXPROCS(workers)
+		defer runtime.GOMAXPROCS(prev)
+	}
 	rep := &KernelCompareReport{Kernels: append(append([]string{}, cmpKernels...), core.KernelAuto)}
 	for _, family := range []string{"power-law", "grid"} {
 		g, err := kernelCmpGraph(cfg, family)
 		if err != nil {
 			return nil, err
 		}
-		ds := KernelCompareDataset{
-			Dataset:  family,
-			Vertices: g.N(),
-			Arcs:     g.NumArcs(),
-			Workers:  workers,
-		}
-		// Interleaved rounds, not per-kernel batches: the report's datum
-		// is the RATIO against the dijkstra row, and on a shared runner
-		// absolute throughput drifts over the minutes a batched sweep
-		// takes (the denominator would be measured on a fresh machine,
-		// every later row on a throttled one). Round-robin makes every
-		// kernel's rounds span the same wall-clock epochs, so drift
-		// cancels in the ratio instead of masquerading as a regression.
-		// Each row then reports its MEDIAN round: a scheduler spike or GC
-		// pause landing on one kernel's turn discards that round for that
-		// kernel instead of dragging its mean.
-		rounds := make([][]time.Duration, len(rep.Kernels))
-		results := make([]*core.Result, len(rep.Kernels))
-		if err := func() error {
-			prev := runtime.GOMAXPROCS(0)
-			if workers > prev {
-				runtime.GOMAXPROCS(workers)
-				defer runtime.GOMAXPROCS(prev)
-			}
-			for run := 0; run < cfg.Runs; run++ {
-				for ki, kern := range rep.Kernels {
-					// Collect the previous solve's garbage outside the
-					// timing window — each discarded matrix is large.
-					runtime.GC()
-					start := time.Now()
-					res, err := core.Solve(g, core.ParAPSP, core.Options{Workers: workers, Kernel: kern})
-					if err != nil {
-						return fmt.Errorf("bench: %s on %s: %w", kern, family, err)
-					}
-					rounds[ki] = append(rounds[ki], time.Since(start))
-					results[ki] = res
-				}
-			}
-			return nil
-		}(); err != nil {
-			return nil, err
-		}
-		for ki, kern := range rep.Kernels {
-			res := results[ki]
-			sum := res.D.Checksum()
-			if len(ds.Rows) == 0 {
-				ds.Checksum = sum
-			} else if sum != ds.Checksum {
-				return nil, fmt.Errorf("bench: kernel %s diverged on %s: checksum %016x, want %016x",
-					kern, family, sum, ds.Checksum)
-			}
-			allocs, err := core.KernelSteadyAllocs(g, kern, 10)
-			if err != nil {
+		allocs := make(map[string]float64, len(rep.Kernels))
+		for _, kern := range rep.Kernels {
+			if allocs[kern], err = core.KernelSteadyAllocs(g, kern, 10); err != nil {
 				return nil, fmt.Errorf("bench: allocs probe for %s on %s: %w", kern, family, err)
 			}
-			row := KernelCompareResult{
-				Kernel:         kern,
-				ElapsedNs:      medianDuration(rounds[ki]).Nanoseconds(),
-				AllocsPerSolve: allocs,
-				Pops:           res.Stats.Pops,
-				Enqueues:       res.Stats.Enqueues,
-				EdgeScans:      res.Stats.EdgeScans,
-				EdgeUpdates:    res.Stats.EdgeUpdates,
-				Folds:          res.Stats.Folds,
-			}
-			if kern == core.KernelAuto {
-				row.Resolved = res.Kernel
-			}
-			ds.Rows = append(ds.Rows, row)
 		}
-		base := float64(ds.Rows[0].ElapsedNs)
-		for i := range ds.Rows {
-			if base > 0 {
-				ds.Rows[i].VsDijkstra = float64(ds.Rows[i].ElapsedNs) / base
-			}
+		sources := make([]int32, kernelCmpSubset)
+		for i, v := range rand.New(rand.NewSource(cfg.Seed)).Perm(g.N())[:kernelCmpSubset] {
+			sources[i] = int32(v)
 		}
-		rep.Datasets = append(rep.Datasets, ds)
+		full := func(kern string) (kernelCmpRun, error) {
+			res, err := core.Solve(g, core.ParAPSP, core.Options{Workers: workers, Kernel: kern})
+			if err != nil {
+				return kernelCmpRun{}, err
+			}
+			return kernelCmpRun{res.D.Checksum(), res.Kernel, res.Stats}, nil
+		}
+		subset := func(kern string) (kernelCmpRun, error) {
+			sub, err := core.SolveSubset(g, sources, core.Options{Workers: workers, Kernel: kern})
+			if err != nil {
+				return kernelCmpRun{}, err
+			}
+			return kernelCmpRun{checksum: sub.Checksum(), kernel: sub.Kernel}, nil
+		}
+		for _, c := range []struct {
+			name  string
+			solve func(kern string) (kernelCmpRun, error)
+		}{
+			{family, full},
+			{fmt.Sprintf("%s/subset%d", family, kernelCmpSubset), subset},
+		} {
+			ds, err := raceKernels(cfg, c.name, rep.Kernels, allocs, c.solve)
+			if err != nil {
+				return nil, err
+			}
+			ds.Vertices, ds.Arcs, ds.Workers = g.N(), g.NumArcs(), workers
+			rep.Datasets = append(rep.Datasets, ds)
+		}
 	}
 	return rep, nil
+}
+
+// raceKernels times solve for every kernel over cfg.Runs rounds and
+// builds one dataset's rows. The "auto" row solves with the kernel unset.
+//
+// Rounds are interleaved, not per-kernel batches: the report's datum is
+// the RATIO against the dijkstra row, and on a shared runner absolute
+// throughput drifts over the minutes a batched sweep takes (the
+// denominator would be measured on a fresh machine, every later row on a
+// throttled one). Round-robin makes every kernel's rounds span the same
+// wall-clock epochs, so drift cancels in the ratio instead of
+// masquerading as a regression. Each row then reports its MEDIAN round: a
+// scheduler spike or GC pause landing on one kernel's turn discards that
+// round for that kernel instead of dragging its mean.
+func raceKernels(cfg Config, name string, kernels []string, allocs map[string]float64, solve func(kern string) (kernelCmpRun, error)) (KernelCompareDataset, error) {
+	ds := KernelCompareDataset{Dataset: name}
+	rounds := make([][]time.Duration, len(kernels))
+	runs := make([]kernelCmpRun, len(kernels))
+	for run := 0; run < cfg.Runs; run++ {
+		for ki, kern := range kernels {
+			opt := kern
+			if kern == core.KernelAuto {
+				opt = ""
+			}
+			// Collect the previous solve's garbage outside the timing
+			// window — each discarded matrix is large.
+			runtime.GC()
+			start := time.Now()
+			r, err := solve(opt)
+			if err != nil {
+				return ds, fmt.Errorf("bench: %s on %s: %w", kern, name, err)
+			}
+			rounds[ki] = append(rounds[ki], time.Since(start))
+			runs[ki] = r
+		}
+	}
+	for ki, kern := range kernels {
+		r := runs[ki]
+		if ki == 0 {
+			ds.Checksum = r.checksum
+		} else if r.checksum != ds.Checksum {
+			return ds, fmt.Errorf("bench: kernel %s diverged on %s: checksum %016x, want %016x",
+				kern, name, r.checksum, ds.Checksum)
+		}
+		row := KernelCompareResult{
+			Kernel:         kern,
+			ElapsedNs:      medianDuration(rounds[ki]).Nanoseconds(),
+			AllocsPerSolve: allocs[kern],
+			Pops:           r.stats.Pops,
+			Enqueues:       r.stats.Enqueues,
+			EdgeScans:      r.stats.EdgeScans,
+			EdgeUpdates:    r.stats.EdgeUpdates,
+			Folds:          r.stats.Folds,
+		}
+		if kern == core.KernelAuto {
+			row.Resolved = r.kernel
+		}
+		ds.Rows = append(ds.Rows, row)
+	}
+	if base := float64(ds.Rows[0].ElapsedNs); base > 0 {
+		for i := range ds.Rows {
+			ds.Rows[i].VsDijkstra = float64(ds.Rows[i].ElapsedNs) / base
+		}
+	}
+	return ds, nil
 }
 
 func runKernelCompare(cfg Config, w io.Writer) error {

@@ -23,11 +23,11 @@ func TestShapeDegreeOrderReducesWork(t *testing.T) {
 	}
 	// Pin the scalar engine: these counters measure the fold/reuse
 	// mechanism, which the multi-source batch engine replaces wholesale.
-	id, err := core.Solve(g, core.ParAlg1, core.Options{Batch: core.BatchOff})
+	id, err := core.Solve(g, core.ParAlg1, core.Options{Kernel: core.KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg, err := core.Solve(g, core.ParAPSP, core.Options{Batch: core.BatchOff})
+	deg, err := core.Solve(g, core.ParAPSP, core.Options{Kernel: core.KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestShapeRowReuseIsTheMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := core.Solve(g, core.ParAPSP, core.Options{Batch: core.BatchOff})
+	on, err := core.Solve(g, core.ParAPSP, core.Options{Kernel: core.KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ type BatchReport struct {
 }
 
 // BatchCaseResult compares one (dataset, weighting, batch-size) cell:
-// the same B sources solved scalar (Batch=off) and batched (Batch=force).
+// the same B sources solved by dijkstra and by the lane kernel.
 type BatchCaseResult struct {
 	Dataset        string  `json:"dataset"`
 	Weighted       bool    `json:"weighted"`
@@ -127,9 +127,9 @@ func BuildBatchReport(cfg Config) (*BatchReport, error) {
 			sources := batchBenchSources(g.N(), b)
 			var scalarSub, batchSub *core.SubsetResult
 			var solveErr error
-			run := func(mode core.BatchMode, out **core.SubsetResult) time.Duration {
+			run := func(kern string, out **core.SubsetResult) time.Duration {
 				return Measure(cfg.Runs, workers, func() {
-					sub, err2 := core.SolveSubset(g, sources, core.Options{Workers: workers, Batch: mode})
+					sub, err2 := core.SolveSubset(g, sources, core.Options{Workers: workers, Kernel: kern})
 					if err2 != nil {
 						solveErr = err2
 						return
@@ -137,8 +137,8 @@ func BuildBatchReport(cfg Config) (*BatchReport, error) {
 					*out = sub
 				})
 			}
-			scalarNs := run(core.BatchOff, &scalarSub)
-			batchNs := run(core.BatchForce, &batchSub)
+			scalarNs := run(core.KernelDijkstra, &scalarSub)
+			batchNs := run(laneKernel(g), &batchSub)
 			if solveErr != nil {
 				return nil, solveErr
 			}
@@ -165,6 +165,14 @@ func BuildBatchReport(cfg Config) (*BatchReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// laneKernel names the multi-source lane kernel that solves g.
+func laneKernel(g *graph.Graph) string {
+	if g.Weighted() {
+		return core.KernelSweep
+	}
+	return core.KernelMSBFS
 }
 
 func runBatch(cfg Config, w io.Writer) error {

@@ -37,56 +37,14 @@ import (
 // is, and folding one lane's row into another would break the lane
 // packing (each fold is a per-pair row sweep — exactly the scalar work
 // the batch exists to avoid). The batch's amortized edge scan replaces
-// what reuse bought; the dispatch policy keeps the scalar engine for the
-// regimes where reuse wins (tiny batches, tiny graphs, ablation runs).
-// DESIGN.md §9 develops this trade-off.
+// what reuse bought. resolveKernel (kernelreg.go) picks a lane engine only
+// where that trade wins — unweighted graphs, where a level is one word OR
+// per arc, and weighted subsets of under half the vertices, where few
+// finished rows exist to fold — and a folding scalar kernel everywhere
+// else; DESIGN.md §9 has the measurements.
 
-// BatchMode selects the multi-source batch engine policy for Solve and
-// SolveSubset.
-type BatchMode int
-
-const (
-	// BatchAuto (the zero value) picks per graph: the batch engine when
-	// the solve uses a parallel algorithm, the batch is at least
-	// batchMinSources sources on a graph of at least batchMinVertices
-	// vertices, and no scalar-only option is set; the scalar engine
-	// otherwise. The sequential baselines (SeqBasic/SeqOptimized) never
-	// auto-batch — they exist to measure the paper's per-source work, and
-	// silently swapping their engine would change every number derived
-	// from them.
-	BatchAuto BatchMode = iota
-	// BatchOff always runs the scalar engine. The paper-reproduction
-	// experiments pin this so the measured mechanism stays the paper's.
-	BatchOff
-	// BatchForce runs the batch engine whenever it is legal (it still
-	// falls back to scalar for TrackPaths, the queue ablations, and
-	// SeqAdaptive, whose semantics are scalar by definition).
-	BatchForce
-)
-
-// String names the mode for reports.
-func (m BatchMode) String() string {
-	switch m {
-	case BatchAuto:
-		return "auto"
-	case BatchOff:
-		return "off"
-	case BatchForce:
-		return "force"
-	default:
-		return "batch-mode?"
-	}
-}
-
-const (
-	// batchLaneWidth is the number of sources packed per lane word.
-	batchLaneWidth = 64
-	// batchMinVertices and batchMinSources gate BatchAuto: below either,
-	// the scalar engine's frontier locality (and, across sources, its
-	// completed-row reuse) beats the batch's per-level word sweeps.
-	batchMinVertices = 1024
-	batchMinSources  = 8
-)
+// batchLaneWidth is the number of sources packed per lane word.
+const batchLaneWidth = 64
 
 // Engine names for SubsetResult.Engine and the serve layer's solver tag.
 const (
@@ -94,36 +52,6 @@ const (
 	EngineMSBFS  = "msbfs"
 	EngineSweep  = "sweep"
 )
-
-// batchLegal reports whether the batch engine can replace the scalar one
-// without changing observable semantics the caller opted into. The queue
-// ablations (PaperQueue/HeapQueue), the reuse ablation, path tracking and
-// the adaptive algorithm are scalar mechanisms by definition.
-func batchLegal(alg Algorithm, opts Options) bool {
-	return !opts.TrackPaths && !opts.PaperQueue && !opts.HeapQueue &&
-		!opts.DisableRowReuse && alg != SeqAdaptive
-}
-
-// useBatch applies the dispatch policy for a k-source solve on an
-// n-vertex graph with algorithm alg, assuming batchLegal already held.
-func useBatch(mode BatchMode, alg Algorithm, n, k int) bool {
-	switch mode {
-	case BatchOff:
-		return false
-	case BatchForce:
-		return true
-	default:
-		return alg >= ParAlg1 && k >= batchMinSources && n >= batchMinVertices
-	}
-}
-
-// engineName reports which batch engine a graph dispatches to.
-func engineName(g *graph.Graph) string {
-	if g.Weighted() {
-		return EngineSweep
-	}
-	return EngineMSBFS
-}
 
 // batchScratch is the per-worker arena of the batch engine: the three
 // lane bitmaps of MS-BFS (visit/next double-buffer plus seen), the
@@ -162,7 +90,11 @@ func getBatchScratch(n int) *batchScratch {
 	return sc
 }
 
+// putBatchScratch returns sc to the pool. The row pointers are cleared
+// first: they point into the solve's destination (a whole n² matrix, or a
+// subset's row block), which a pooled scratch must not keep reachable.
 func putBatchScratch(sc *batchScratch) {
+	clear(sc.rows[:cap(sc.rows)])
 	sc.rows = sc.rows[:0]
 	batchPool.Put(sc)
 }
@@ -286,10 +218,9 @@ func init() {
 func (k laneKernel) Name() string { return k.name }
 func (k laneKernel) Grain() int   { return batchLaneWidth }
 
-// Supports mirrors batchLegal for an explicitly selected lane kernel: the
-// engines are single-weighting by construction, and the scalar-only
-// mechanisms (paths, the queue ablations, reuse accounting) have no lane
-// formulation.
+// Supports refuses what the lane engines cannot do: they are
+// single-weighting by construction, and the scalar-only mechanisms (paths,
+// the queue ablations, reuse accounting) have no lane formulation.
 func (k laneKernel) Supports(g *graph.Graph, opts Options) error {
 	if g.Weighted() != k.weighted {
 		want := "an unweighted"

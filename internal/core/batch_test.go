@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -72,6 +73,14 @@ func batteryGraph(t testing.TB, family string, directed, weighted bool, seed int
 
 var batteryFamilies = []string{"power-law", "grid", "disconnected"}
 
+// laneKernelFor names the lane kernel that can solve g.
+func laneKernelFor(g *graph.Graph) string {
+	if g.Weighted() {
+		return KernelSweep
+	}
+	return KernelMSBFS
+}
+
 // drawSubset picks k in-range sources with duplicates on purpose, so the
 // battery also covers SolveSubset's dedup in front of the batch engine.
 func drawSubset(rng *rand.Rand, n, k int) []int32 {
@@ -93,18 +102,18 @@ func TestBatchMatchesScalarSolve(t *testing.T) {
 				name := fmt.Sprintf("%s/directed=%v/weighted=%v", family, directed, weighted)
 				t.Run(name, func(t *testing.T) {
 					for _, workers := range []int{1, 2, 8} {
-						scalar, err := Solve(g, ParAPSP, Options{Workers: workers, Batch: BatchOff})
+						scalar, err := Solve(g, ParAPSP, Options{Workers: workers, Kernel: KernelDijkstra})
 						if err != nil {
 							t.Fatalf("workers=%d scalar: %v", workers, err)
 						}
-						batched, err := Solve(g, ParAPSP, Options{Workers: workers, Batch: BatchForce})
+						batched, err := Solve(g, ParAPSP, Options{Workers: workers, Kernel: laneKernelFor(g)})
 						if err != nil {
 							t.Fatalf("workers=%d batch: %v", workers, err)
 						}
 						if scalar.Engine != EngineScalar {
 							t.Fatalf("scalar run reports engine %q", scalar.Engine)
 						}
-						if want := engineName(g); batched.Engine != want {
+						if want := laneKernelFor(g); batched.Engine != want {
 							t.Fatalf("batch run reports engine %q, want %q", batched.Engine, want)
 						}
 						if !scalar.D.Equal(batched.D) {
@@ -137,18 +146,18 @@ func TestBatchMatchesScalarSubset(t *testing.T) {
 				name := fmt.Sprintf("%s/directed=%v/weighted=%v", family, directed, weighted)
 				t.Run(name, func(t *testing.T) {
 					for _, workers := range []int{1, 2, 8} {
-						scalar, err := SolveSubset(g, sources, Options{Workers: workers, Batch: BatchOff})
+						scalar, err := SolveSubset(g, sources, Options{Workers: workers, Kernel: KernelDijkstra})
 						if err != nil {
 							t.Fatalf("workers=%d scalar: %v", workers, err)
 						}
-						batched, err := SolveSubset(g, sources, Options{Workers: workers, Batch: BatchForce})
+						batched, err := SolveSubset(g, sources, Options{Workers: workers, Kernel: laneKernelFor(g)})
 						if err != nil {
 							t.Fatalf("workers=%d batch: %v", workers, err)
 						}
 						if scalar.Engine != EngineScalar || scalar.Batched() {
 							t.Fatalf("scalar run reports engine %q", scalar.Engine)
 						}
-						if want := engineName(g); batched.Engine != want || !batched.Batched() {
+						if want := laneKernelFor(g); batched.Engine != want || !batched.Batched() {
 							t.Fatalf("batch run reports engine %q, want %q", batched.Engine, want)
 						}
 						if a, b := scalar.Checksum(), batched.Checksum(); a != b {
@@ -170,57 +179,63 @@ func TestBatchMatchesScalarSubset(t *testing.T) {
 	}
 }
 
-// TestBatchAutoDispatch pins the Auto policy: small graphs and small
-// subsets stay scalar, large multi-source solves go batched.
-func TestBatchAutoDispatch(t *testing.T) {
-	small := batteryGraph(t, "power-law", false, false, 7)
-	if res, err := Solve(small, ParAPSP, Options{}); err != nil || res.Engine != EngineScalar {
-		t.Fatalf("n=%d auto: engine %q err %v (want scalar)", small.N(), res.Engine, err)
-	}
-
-	big, err := gen.Grid2D(33, 34, true, 7, gen.Weighting{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := Solve(big, ParAPSP, Options{Workers: 2}); err != nil || res.Engine != EngineMSBFS {
-		t.Fatalf("n=%d auto solve: engine %q err %v (want msbfs)", big.N(), res.Engine, err)
-	}
-	sub, err := SolveSubset(big, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, Options{})
-	if err != nil || sub.Engine != EngineMSBFS {
-		t.Fatalf("k=10 auto subset: engine %q err %v (want msbfs)", sub.Engine, err)
-	}
-	sub, err = SolveSubset(big, []int32{1, 2, 3}, Options{})
-	if err != nil || sub.Engine != EngineScalar {
-		t.Fatalf("k=3 auto subset: engine %q err %v (want scalar)", sub.Engine, err)
-	}
-}
-
-// TestBatchForceRespectsLegality: options whose semantics are scalar by
-// definition override even BatchForce, and still solve correctly.
+// TestBatchForceRespectsLegality: forcing a lane engine means naming its
+// kernel, which the scalar-only options refuse; left to the dispatch
+// table, the same options keep a lane-regime solve scalar and exact.
 func TestBatchForceRespectsLegality(t *testing.T) {
-	g := batteryGraph(t, "power-law", false, true, 9)
-	want, err := Solve(g, ParAPSP, Options{Batch: BatchOff})
+	g := dispatchGraph(t, "power-law", true)
+	sources := dispatchSources(g.N(), 16)
+	want, err := SolveSubset(g, sources, Options{Kernel: KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{Batch: BatchForce, PaperQueue: true},
-		{Batch: BatchForce, HeapQueue: true},
-		{Batch: BatchForce, DisableRowReuse: true},
+		{PaperQueue: true},
+		{HeapQueue: true},
+		{DisableRowReuse: true},
 	} {
-		res, err := Solve(g, ParAPSP, opts)
+		forced := opts
+		forced.Kernel = KernelSweep
+		if _, err := SolveSubset(g, sources, forced); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("%+v: got %v, want ErrInvalid", forced, err)
+		}
+		res, err := SolveSubset(g, sources, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
 		if res.Engine != EngineScalar {
-			t.Fatalf("%+v: engine %q, want scalar fallback", opts, res.Engine)
+			t.Fatalf("%+v: engine %q, want scalar", opts, res.Engine)
 		}
-		if !res.D.Equal(want.D) {
+		if res.Checksum() != want.Checksum() {
 			t.Fatalf("%+v: wrong solution", opts)
 		}
 	}
-	if res, err := Solve(g, SeqAdaptive, Options{Batch: BatchForce}); err != nil || res.Engine != EngineScalar {
+	small := batteryGraph(t, "power-law", false, true, 9)
+	if _, err := Solve(small, SeqAdaptive, Options{Kernel: KernelSweep}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("SeqAdaptive with sweep: got %v, want ErrInvalid", err)
+	}
+	if res, err := Solve(small, SeqAdaptive, Options{}); err != nil || res.Engine != EngineScalar {
 		t.Fatalf("SeqAdaptive: engine %q err %v, want scalar", res.Engine, err)
+	}
+}
+
+// TestBatchScratchDropsRows: a lane solve returns its scratch to the pool
+// without the row pointers into its destination, so the pool cannot keep
+// the previous solve's matrix (or subset row block) reachable.
+func TestBatchScratchDropsRows(t *testing.T) {
+	g := batteryGraph(t, "power-law", false, true, 17)
+	n := g.N()
+	D := matrix.New(n)
+	D.InitAPSP()
+	rt := &Runtime{G: g, Workers: 1, Sources: identitySources(n), Dest: rowDest{m: D}, Flags: newFlags(n)}
+	run := kernelRegistry[KernelSweep].Bind(rt).(*laneRun)
+	run.Run(0, 0, batchLaneWidth)
+	sc := run.scratches[0]
+	run.Finish()
+	for i, row := range sc.rows[:cap(sc.rows)] {
+		if row != nil {
+			t.Fatalf("pooled scratch still points at destination row %d", i)
+		}
 	}
 }
 
@@ -229,7 +244,7 @@ func TestBatchForceRespectsLegality(t *testing.T) {
 func TestBatchObs(t *testing.T) {
 	g := batteryGraph(t, "power-law", false, false, 11)
 	rec := obs.New(2)
-	res, err := Solve(g, ParAPSP, Options{Workers: 2, Batch: BatchForce, Obs: rec})
+	res, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelMSBFS, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +319,7 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 // clean stats and queue state.
 func TestScratchPoolReuse(t *testing.T) {
 	g := batteryGraph(t, "power-law", false, true, 15)
-	if _, err := SolveSubset(g, []int32{1, 2, 3}, Options{Batch: BatchOff}); err != nil {
+	if _, err := SolveSubset(g, []int32{1, 2, 3}, Options{Kernel: KernelDijkstra}); err != nil {
 		t.Fatal(err)
 	}
 	sc := getScratch(g.N())

@@ -83,14 +83,13 @@ type Options struct {
 	HeapQueue bool
 	// Kernel pins the SSSP source kernel by registry name ("dijkstra",
 	// "heap", "delta", "deltastar", "rho", "pardij", "msbfs", "sweep" —
-	// see Kernels()). Empty means the static default: the paper's
-	// modified Dijkstra, or a multi-source lane kernel when the Batch
-	// dispatch policy fires. The special value "auto" (KernelAuto) selects
-	// adaptively from the graph's measured features (kauto.go);
-	// Result.Kernel reports the kernel that actually ran. An explicit
-	// kernel bypasses the batch policy entirely; Solve fails with
-	// ErrInvalid when the kernel cannot solve the graph/options
-	// combination exactly (for example "msbfs" on a weighted graph).
+	// see Kernels()). Empty, or its synonym "auto" (KernelAuto), lets the
+	// dispatch table pick from the graph's weighting and degree skew, the
+	// source count and the options (resolveKernel, kernelreg.go);
+	// Result.Kernel reports the kernel that actually ran. Solve fails with
+	// ErrInvalid when a named kernel cannot solve the graph/options
+	// combination exactly (for example "msbfs" on a weighted graph). The
+	// paper experiments name "dijkstra", the paper's modified Dijkstra.
 	Kernel string
 	// PaperQueue makes the modified Dijkstra enqueue duplicates exactly
 	// as written in Algorithm 1 line 16, instead of the default
@@ -102,11 +101,6 @@ type Options struct {
 	// plain repeated label-correcting search. Ablation only: it isolates
 	// the benefit the paper credits for its hyper-linear speedup.
 	DisableRowReuse bool
-	// Batch selects the multi-source batch engine policy (see BatchMode).
-	// The zero value, BatchAuto, dispatches large multi-source solves to
-	// the bit-parallel MS-BFS / shared-sweep engine and keeps everything
-	// else on the scalar solvers; the result is identical either way.
-	Batch BatchMode
 	// MaxMemBytes, when non-zero, makes Solve fail instead of allocating
 	// a distance matrix larger than this bound. The paper's experiments
 	// are memory-gated (sx-superuser needs 160 GB); this is the guard.
@@ -159,11 +153,11 @@ type Result struct {
 	Algorithm Algorithm
 	Workers   int
 	// Engine names the solver that ran the SSSP phase: EngineScalar for
-	// the modified-Dijkstra solvers, EngineMSBFS / EngineSweep when the
-	// batch dispatch took the multi-source path.
+	// the scalar kernels, EngineMSBFS / EngineSweep for the multi-source
+	// lane kernels.
 	Engine string
 	// Kernel is the registry name of the SSSP kernel that ran (see
-	// Options.Kernel); "dijkstra" unless overridden or batch-dispatched.
+	// Options.Kernel).
 	Kernel string
 }
 
@@ -321,9 +315,8 @@ func OrderingOnly(g *graph.Graph, proc order.Procedure, cfg order.Config) ([]int
 
 // SSSPPhase runs only the iterated-Dijkstra phase over a precomputed source
 // order and returns the distance matrix and elapsed time. Figure 5 times
-// this phase under orders produced by different procedures. The batch
-// dispatch policy never fires here (the phase isolation exists to measure
-// the scalar kernels), but Options.Kernel still pins any kernel explicitly.
+// this phase under orders produced by different procedures; the kernel is
+// resolved as for a ParAPSP solve of every vertex.
 func SSSPPhase(g *graph.Graph, src []int32, workers int, scheme sched.Scheme, opts Options) (*matrix.Matrix, time.Duration, error) {
 	n := g.N()
 	if src != nil && !order.IsPermutation(src, n) {
@@ -334,9 +327,7 @@ func SSSPPhase(g *graph.Graph, src []int32, workers int, scheme sched.Scheme, op
 		return nil, 0, fmt.Errorf("%w: obs recorder has %d worker lanes, need %d",
 			ErrInvalid, opts.Obs.Workers(), w)
 	}
-	noBatch := opts
-	noBatch.Batch = BatchOff
-	kern, err := resolveKernel(ParAPSP, g, noBatch, n)
+	kern, err := resolveKernel(ParAPSP, g, opts, n)
 	if err != nil {
 		return nil, 0, err
 	}

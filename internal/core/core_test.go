@@ -544,7 +544,7 @@ func TestFoldBatchingParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := baseline.DijkstraAPSP(g)
-	res, err := Solve(g, ParAPSP, Options{Workers: 4})
+	res, err := Solve(g, ParAPSP, Options{Workers: 4, Kernel: KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}

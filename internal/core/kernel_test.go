@@ -2,7 +2,12 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
+
+	"parapsp/internal/gen"
+	"parapsp/internal/graph"
 )
 
 // batteryKernels is the explicit list of kernels the differential battery
@@ -46,7 +51,7 @@ func TestKernelsMatchDijkstra(t *testing.T) {
 		for _, directed := range []bool{false, true} {
 			for _, weighted := range []bool{false, true} {
 				g := batteryGraph(t, family, directed, weighted, 7)
-				base, err := Solve(g, ParAPSP, Options{Workers: 2, Batch: BatchOff})
+				base, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelDijkstra})
 				if err != nil {
 					t.Fatalf("%s baseline: %v", family, err)
 				}
@@ -90,7 +95,7 @@ func TestKernelsMatchDijkstra(t *testing.T) {
 func TestKernelSubsetMatchesSolve(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		g := batteryGraph(t, "power-law", false, weighted, 11)
-		full, err := Solve(g, ParAPSP, Options{Workers: 2, Batch: BatchOff})
+		full, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelDijkstra})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,27 +142,28 @@ func TestKernelOptionValidation(t *testing.T) {
 		{"msbfs needs unweighted", ParAPSP, Options{Kernel: KernelMSBFS}},
 		{"delta cannot track paths", ParAPSP, Options{Kernel: KernelDelta, TrackPaths: true}},
 		{"sweep cannot disable reuse", ParAPSP, Options{Kernel: KernelSweep, DisableRowReuse: true}},
-		{"heapqueue contradicts auto", ParAPSP, Options{HeapQueue: true, Kernel: KernelAuto}},
-		{"adaptive cannot run auto", SeqAdaptive, Options{Kernel: KernelAuto}},
 		{"pardij cannot track paths", ParAPSP, Options{Kernel: KernelParDij, TrackPaths: true}},
 		{"deltastar has no paper queue", ParAPSP, Options{Kernel: KernelDeltaStar, PaperQueue: true}},
-		{"auto contradicts forced batch", ParAPSP, Options{Kernel: KernelAuto, Batch: BatchForce}},
 	}
 	for _, tc := range cases {
 		if _, err := Solve(g, tc.alg, tc.opts); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: got %v, want ErrInvalid", tc.name, err)
 		}
 	}
-	// HeapQueue with the matching explicit kernel name is fine.
+	// HeapQueue with the matching explicit kernel name is fine, and so is
+	// SeqAdaptive naming the kernel it runs.
 	if _, err := Solve(g, ParAPSP, Options{HeapQueue: true, Kernel: KernelHeap}); err != nil {
 		t.Errorf("HeapQueue + Kernel=heap: %v", err)
+	}
+	if _, err := Solve(g, SeqAdaptive, Options{Kernel: KernelDijkstra}); err != nil {
+		t.Errorf("SeqAdaptive + Kernel=dijkstra: %v", err)
 	}
 	// Delta composes with the reuse ablation (it just never folds).
 	res, err := Solve(g, ParAPSP, Options{Kernel: KernelDelta, DisableRowReuse: true})
 	if err != nil {
 		t.Fatalf("delta without reuse: %v", err)
 	}
-	base, err := Solve(g, ParAPSP, Options{Batch: BatchOff})
+	base, err := Solve(g, ParAPSP, Options{Kernel: KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +172,14 @@ func TestKernelOptionValidation(t *testing.T) {
 	}
 }
 
-// TestKernelAutoResolves pins the adaptive selector: "auto" always
-// resolves to a concrete registry kernel (Result.Kernel never reports
-// "auto"), the choice solves exactly, and the documented table rows hold
-// on their signature graphs. SolveSubset with a conflicting Batch: Force
-// is the registry-misuse case — auto owns the engine choice.
+// TestKernelAutoResolves: "auto" always resolves to a concrete registry
+// kernel (Result.Kernel and SubsetResult.Kernel never report "auto"), and
+// the choice solves exactly. TestKernelDispatchTable pins which kernel.
 func TestKernelAutoResolves(t *testing.T) {
 	for _, family := range batteryFamilies {
 		for _, weighted := range []bool{false, true} {
 			g := batteryGraph(t, family, false, weighted, 13)
-			base, err := Solve(g, ParAPSP, Options{Workers: 2, Batch: BatchOff})
+			base, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelDijkstra})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,41 +196,155 @@ func TestKernelAutoResolves(t *testing.T) {
 			if res.D.Checksum() != base.D.Checksum() {
 				t.Errorf("%s weighted=%v: auto (%s) diverged from baseline", family, weighted, res.Kernel)
 			}
+			sub, err := SolveSubset(g, []int32{1, 2, 3}, Options{Kernel: KernelAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Kernel == KernelAuto || sub.Kernel == "" {
+				t.Errorf("%s: subset Kernel = %q, want resolved name", family, sub.Kernel)
+			}
 		}
 	}
+}
 
-	// Table rows on signature graphs: unweighted scalar-regime solves pick
-	// dijkstra (the battery graphs are below batchMinVertices, so the lane
-	// regime never fires there).
-	g := batteryGraph(t, "power-law", false, false, 13)
-	res, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelAuto})
+// dispatchGraph builds one of the dispatch table's n=1024 graphs: a
+// heavy-tailed power-law graph or a 32×32 grid, weighted U[1,100] or not.
+func dispatchGraph(t testing.TB, family string, weighted bool) *graph.Graph {
+	t.Helper()
+	var w gen.Weighting
+	if weighted {
+		w = gen.Weighting{Min: 1, Max: 100}
+	}
+	var g *graph.Graph
+	var err error
+	switch family {
+	case "power-law":
+		g, err = gen.PowerLawConfiguration(1024, 2.5, 2, true, 1, w)
+	case "grid":
+		g, err = gen.Grid2D(32, 32, true, 1, w)
+	default:
+		t.Fatalf("unknown family %q", family)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kernel != KernelDijkstra {
-		t.Errorf("unweighted small graph: auto picked %q, want %q", res.Kernel, KernelDijkstra)
-	}
-	// Path tracking always lands on the FIFO solver.
-	g = batteryGraph(t, "grid", false, true, 13)
-	res, err = Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelAuto, TrackPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != KernelDijkstra {
-		t.Errorf("TrackPaths: auto picked %q, want %q", res.Kernel, KernelDijkstra)
-	}
+	return g
+}
 
-	// SolveSubset accepts auto and reports the resolved kernel; with a
-	// conflicting explicit Batch: Force it must refuse.
-	sub, err := SolveSubset(g, []int32{1, 2, 3}, Options{Kernel: KernelAuto})
-	if err != nil {
-		t.Fatal(err)
+// dispatchSources spreads k distinct sources over [0, n).
+func dispatchSources(n, k int) []int32 {
+	out := make([]int32, k)
+	for i := range out {
+		out[i] = int32(i * n / k)
 	}
-	if sub.Kernel == KernelAuto || sub.Kernel == "" {
-		t.Errorf("subset: Kernel = %q, want resolved name", sub.Kernel)
+	return out
+}
+
+// TestKernelDispatchTable pins every row of resolveKernel's table through
+// Solve (k = n) and SolveSubset (k < n), and that "" and "auto" resolve
+// identically on each.
+func TestKernelDispatchTable(t *testing.T) {
+	plw := dispatchGraph(t, "power-law", true)
+	gridW := dispatchGraph(t, "grid", true)
+	gridU := dispatchGraph(t, "grid", false)
+	if s := degreeSkew(plw); s < skewHeavyTail {
+		t.Fatalf("power-law skew %.2f, want ≥ %v", s, skewHeavyTail)
 	}
-	if _, err := SolveSubset(g, []int32{1, 2, 3}, Options{Kernel: KernelAuto, Batch: BatchForce}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("subset auto + Batch=force: got %v, want ErrInvalid", err)
+	if s := degreeSkew(gridW); s >= skewHeavyTail {
+		t.Fatalf("grid skew %.2f, want < %v", s, skewHeavyTail)
+	}
+	small := batteryGraph(t, "power-law", false, true, 19) // n = 300
+	smallU := batteryGraph(t, "power-law", false, false, 19)
+	n := plw.N()
+	half := n / 2
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		alg  Algorithm
+		opts Options
+		k    int // k == g.N() runs Solve, else SolveSubset
+		want string
+	}{
+		{"explicit kernel", plw, ParAPSP, Options{Kernel: KernelRho}, 16, KernelRho},
+		{"explicit dijkstra, full solve", plw, ParAPSP, Options{Kernel: KernelDijkstra}, n, KernelDijkstra},
+		{"heap queue", plw, ParAPSP, Options{HeapQueue: true}, 16, KernelHeap},
+		{"track paths", plw, ParAPSP, Options{TrackPaths: true}, 16, KernelDijkstra},
+		{"paper queue", plw, ParAPSP, Options{PaperQueue: true}, 16, KernelDijkstra},
+		{"reuse disabled", plw, ParAPSP, Options{DisableRowReuse: true}, 16, KernelDijkstra},
+		{"sequential preset", plw, SeqOptimized, Options{}, n, KernelDijkstra},
+		{"k=1 power-law", plw, ParAPSP, Options{}, 1, KernelDijkstra},
+		{"k=1 weighted grid", gridW, ParAPSP, Options{}, 1, KernelDijkstra},
+		{"k=1 unweighted grid", gridU, ParAPSP, Options{}, 1, KernelDijkstra},
+		{"unweighted k=16", gridU, ParAPSP, Options{}, 16, KernelMSBFS},
+		{"unweighted k=n/2-1", gridU, ParAPSP, Options{}, half - 1, KernelMSBFS},
+		{"unweighted k=n/2+1", gridU, ParAPSP, Options{}, half + 1, KernelMSBFS},
+		{"unweighted full solve", gridU, ParAPSP, Options{}, n, KernelMSBFS},
+		{"unweighted below 1024 vertices", smallU, ParAPSP, Options{}, 16, KernelDijkstra},
+		{"heavy tail k=16", plw, ParAPSP, Options{}, 16, KernelSweep},
+		{"heavy tail k=n/2-1", plw, ParAPSP, Options{}, half - 1, KernelSweep},
+		{"heavy tail k=n/2+1", plw, ParAPSP, Options{}, half + 1, KernelDeltaStar},
+		{"heavy tail full solve", plw, ParAPSP, Options{}, n, KernelDeltaStar},
+		{"heavy tail below 1024 vertices", small, ParAPSP, Options{}, 16, KernelDeltaStar},
+		{"mesh k=16", gridW, ParAPSP, Options{}, 16, KernelDijkstra},
+		{"mesh k=n/2-1", gridW, ParAPSP, Options{}, half - 1, KernelDijkstra},
+		{"mesh k=n/2+1", gridW, ParAPSP, Options{}, half + 1, KernelDijkstra},
+		{"mesh full solve", gridW, ParAPSP, Options{}, n, KernelDijkstra},
+	}
+	for _, tc := range cases {
+		spellings := []string{tc.opts.Kernel}
+		if tc.opts.Kernel == "" {
+			spellings = append(spellings, KernelAuto)
+		}
+		for _, spelling := range spellings {
+			opts := tc.opts
+			opts.Kernel = spelling
+			opts.Workers = 2
+			var got string
+			if tc.k == tc.g.N() {
+				res, err := Solve(tc.g, tc.alg, opts)
+				if err != nil {
+					t.Fatalf("%s (Kernel %q): %v", tc.name, spelling, err)
+				}
+				got = res.Kernel
+			} else {
+				sub, err := SolveSubset(tc.g, dispatchSources(tc.g.N(), tc.k), opts)
+				if err != nil {
+					t.Fatalf("%s (Kernel %q): %v", tc.name, spelling, err)
+				}
+				got = sub.Kernel
+			}
+			if got != tc.want {
+				t.Errorf("%s (Kernel %q): ran %q, want %q", tc.name, spelling, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestKernelDispatchReleasesGraph: the dispatch table keeps no per-graph
+// state, so a graph it has solved becomes garbage once its caller drops
+// it. A mutating server builds a new graph on every edge write.
+func TestKernelDispatchReleasesGraph(t *testing.T) {
+	for _, spelling := range []string{"", KernelAuto} {
+		collected := make(chan struct{})
+		func() {
+			g := dispatchGraph(t, "power-law", true)
+			runtime.SetFinalizer(g, func(*graph.Graph) { close(collected) })
+			if _, err := SolveSubset(g, dispatchSources(g.N(), 16), Options{Kernel: spelling}); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		released := false
+		for i := 0; i < 50 && !released; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				released = true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if !released {
+			t.Errorf("Kernel %q: the solved graph is still reachable after 50 collections", spelling)
+		}
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 // differ from the paper's modified Dijkstra only there. This file owns
 // that seam: SourceKernel is the stage-three interface, the registry maps
 // names to implementations, and resolveKernel is the one place the solver
-// entry points (Solve, SolveSubset, SSSPPhase) pick a kernel — explicit
-// Options.Kernel first, then the multi-source batch dispatch policy, then
-// the scalar default.
+// entry points (Solve, SolveSubset, SSSPPhase) pick a kernel — an explicit
+// Options.Kernel, else the dispatch table below.
 //
 // Registered kernels:
 //
@@ -57,10 +56,10 @@ const (
 	KernelSweep     = EngineSweep
 )
 
-// KernelAuto is the adaptive pseudo-kernel: not a registry entry but a
-// request to pick one from the graph's features (kauto.go). resolveKernel
-// replaces it with a concrete kernel before Bind, so Result.Kernel and the
-// serve layer's X-Parapsp-Solver header always report the resolved name.
+// KernelAuto is a second spelling of the empty Options.Kernel: not a
+// registry entry but a request for the dispatch table's pick
+// (resolveKernel). Result.Kernel and the serve layer's X-Parapsp-Solver
+// header always report the resolved name.
 const KernelAuto = "auto"
 
 // SourceKernel is one registered SSSP kernel: the pipeline stage that
@@ -214,32 +213,55 @@ func engineOf(k SourceKernel) string {
 	}
 }
 
-// resolveKernel picks the SSSP kernel of a k-source solve: an explicit
-// Options.Kernel wins (validated through Supports), then the HeapQueue
-// ablation maps to the heap kernel, then the batch dispatch policy may
-// pick a lane kernel, and everything else runs the default modified
-// Dijkstra. This is the only dispatch point — Solve, SolveSubset and
-// SSSPPhase all select through it.
+// Dispatch thresholds of resolveKernel.
+const (
+	// batchMinVertices and batchMinSources bound the lane engines from
+	// below: under either, a scalar search's frontier locality (and,
+	// across sources, its completed-row reuse) beats the lane engines'
+	// per-sweep scans of all n lane words.
+	batchMinVertices = 1024
+	batchMinSources  = 8
+	// skewHeavyTail is the degree skew (max/mean out-degree) from which a
+	// graph counts as heavy-tailed. Regular meshes sit at ≈1–2, the
+	// benchmark power-law graph at 47.8; 8 splits them with a wide margin.
+	skewHeavyTail = 8.0
+)
+
+// resolveKernel picks the SSSP kernel of a k-source solve. It is the only
+// dispatch point — Solve, SolveSubset and SSSPPhase all select through it
+// — and it keys only on the input (weightedness, degree skew, k against
+// n) and the scalar-only options. "" and KernelAuto are the same request.
+// The rows, first match wins (measured on the fixed benchmark's n=2000
+// graphs, DESIGN.md §9):
+//
+//  1. An explicit kernel: that kernel, if its Supports accepts.
+//  2. HeapQueue: heap, the legacy spelling of the queue ablation.
+//  3. TrackPaths, PaperQueue, DisableRowReuse, a sequential preset, or
+//     k < batchMinSources: dijkstra. The options and presets are the
+//     paper's FIFO mechanism by definition; below 8 sources neither lanes
+//     nor buckets pay for themselves (k=1: 0.31 ms/row against sweep 0.35
+//     and deltastar 0.52).
+//  4. Unweighted, n ≥ batchMinVertices: msbfs. BFS levels are the exact
+//     distances and one adjacency sweep advances 64 searches.
+//  5. Weighted, heavy-tailed, n ≥ batchMinVertices, k < n/2: sweep. A
+//     sparse subset finds few finished rows to fold, so the shared sweep
+//     wins (k=16: 0.16 ms/row against dijkstra 0.35); near k = n/2 on
+//     random subsets deltastar catches up.
+//  6. Weighted, heavy-tailed: deltastar. With most rows in the solve, late
+//     searches fold finished hub rows, and distance-ordered pops reach the
+//     hubs sooner (full solve: 19.2 ms against dijkstra 28.5, sweep 106).
+//  7. Otherwise, weighted meshes among them: dijkstra. Narrow frontiers
+//     give buckets nothing to order and lanes nothing to share.
 func resolveKernel(alg Algorithm, g *graph.Graph, opts Options, k int) (SourceKernel, error) {
+	if opts.Kernel == KernelAuto {
+		opts.Kernel = ""
+	}
 	if opts.Kernel != "" {
 		if opts.HeapQueue && opts.Kernel != KernelHeap {
 			return nil, fmt.Errorf("%w: HeapQueue contradicts Kernel=%q", ErrInvalid, opts.Kernel)
 		}
-		if alg == SeqAdaptive {
+		if alg == SeqAdaptive && opts.Kernel != KernelDijkstra {
 			return nil, fmt.Errorf("%w: SeqAdaptive interleaves ordering with execution and cannot swap kernels", ErrInvalid)
-		}
-		if opts.Kernel == KernelAuto {
-			// Adaptive selection (kauto.go). Forcing the batch engine
-			// contradicts handing the engine choice to the selector —
-			// callers who know they want lanes should name the kernel.
-			if opts.Batch == BatchForce {
-				return nil, fmt.Errorf("%w: Batch=force contradicts Kernel=%q (auto owns the engine choice)", ErrInvalid, KernelAuto)
-			}
-			kern := kernelRegistry[autoSelect(alg, g, opts, k)]
-			if err := kern.Supports(g, opts); err != nil {
-				return nil, err
-			}
-			return kern, nil
 		}
 		kern, err := LookupKernel(opts.Kernel)
 		if err != nil {
@@ -250,11 +272,35 @@ func resolveKernel(alg Algorithm, g *graph.Graph, opts Options, k int) (SourceKe
 		}
 		return kern, nil
 	}
-	if opts.HeapQueue {
-		return kernelRegistry[KernelHeap], nil
+	n := g.N()
+	name := KernelDijkstra
+	switch {
+	case opts.HeapQueue:
+		name = KernelHeap
+	case opts.TrackPaths || opts.PaperQueue || opts.DisableRowReuse || alg < ParAlg1 || k < batchMinSources:
+		// row 3 keeps dijkstra
+	case !g.Weighted():
+		if n >= batchMinVertices {
+			name = KernelMSBFS
+		}
+	case degreeSkew(g) >= skewHeavyTail:
+		name = KernelDeltaStar
+		if n >= batchMinVertices && 2*k < n {
+			name = KernelSweep
+		}
 	}
-	if batchLegal(alg, opts) && useBatch(opts.Batch, alg, g.N(), k) {
-		return kernelRegistry[engineName(g)], nil
+	return kernelRegistry[name], nil
+}
+
+// degreeSkew is max/mean out-degree, 0 on an arcless graph. It costs one
+// O(n) degree scan, so it is computed per solve, only by the rows that
+// read it, and never cached: a cache keyed by graph would pin every graph
+// a mutating server has ever solved against.
+func degreeSkew(g *graph.Graph) float64 {
+	m := g.NumArcs()
+	if m == 0 {
+		return 0
 	}
-	return kernelRegistry[KernelDijkstra], nil
+	_, max := g.MinMaxDegree()
+	return float64(max) * float64(g.N()) / float64(m)
 }

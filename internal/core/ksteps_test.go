@@ -145,7 +145,7 @@ func TestKernelParDijParallelRelax(t *testing.T) {
 	defer func() { pardijGrain = old }()
 	for _, weighted := range []bool{false, true} {
 		g := batteryGraph(t, "power-law", false, weighted, 9)
-		base, err := Solve(g, ParAPSP, Options{Workers: 2, Batch: BatchOff})
+		base, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelDijkstra})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,8 @@ type SubsetResult struct {
 	// appear.
 	Sources []int32
 	// Engine names the solver that produced the rows: EngineScalar for
-	// the per-source modified Dijkstra, EngineMSBFS / EngineSweep for the
-	// multi-source batch engine. The rows are identical either way.
+	// the scalar kernels, EngineMSBFS / EngineSweep for the multi-source
+	// lane kernels. The rows are identical either way.
 	Engine string
 	// Kernel is the registry name of the SSSP kernel that produced the
 	// rows (see Options.Kernel).
@@ -117,10 +117,10 @@ func SolveSubset(g *graph.Graph, sources []int32, opts Options) (*SubsetResult, 
 			ErrInvalid, opts.Obs.Workers(), workers)
 	}
 	// Same pipeline as the full Solve, with the subset row block as the
-	// destination. resolveKernel applies the batch dispatch policy (the
-	// lane kernels solve lane-width groups of subset rows with one shared
-	// traversal each; reuse does not cross groups, the rows are identical)
-	// or honors an explicit Options.Kernel.
+	// destination and the same dispatch table, keyed on the unique source
+	// count (a lane kernel solves lane-width groups of subset rows with one
+	// shared traversal each; reuse does not cross groups, the rows are
+	// identical).
 	kern, err := resolveKernel(ParAPSP, g, opts, k)
 	if err != nil {
 		return nil, err

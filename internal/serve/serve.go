@@ -107,13 +107,12 @@ type Config struct {
 	// saves it — turning the k-SSSP oracle build into a one-time cost.
 	OraclePath string
 	// Kernel pins the SSSP kernel of every subset solve to a registered
-	// core kernel name (core.Kernels()); empty keeps the static default
-	// policy, and core.KernelAuto ("auto") picks per solve from measured
-	// graph features. Pinning a concrete kernel bypasses the batch
-	// dispatch policy, exactly as core.Options.Kernel does. Either way
-	// the X-Parapsp-Solver response header reports the kernel that
-	// actually ran. Validated at New time against the served graph, so an
-	// unsupported kernel fails at startup, not per query.
+	// core kernel name (core.Kernels()), exactly as core.Options.Kernel
+	// does; empty, or core.KernelAuto ("auto"), lets core's dispatch table
+	// pick per solve. Either way the X-Parapsp-Solver response header
+	// reports the kernel that actually ran. Validated at New time against
+	// the served graph, so an unsupported kernel fails at startup, not per
+	// query.
 	Kernel string
 	// Landmarks is the oracle's landmark count (default 16); negative
 	// disables the oracle entirely, making every query exact. The oracle
@@ -143,11 +142,6 @@ type Config struct {
 	// RequestTimeout is the per-request context deadline applied when the
 	// caller's context has none (default 30s).
 	RequestTimeout time.Duration
-	// Batch is the core.BatchMode handed to every subset solve. The zero
-	// value (BatchAuto) routes cache-cold multi-source requests on large
-	// graphs through the multi-source batch engine and everything else
-	// through the scalar solver; BatchOff pins the scalar solver.
-	Batch core.BatchMode
 	// Metrics is the registry the server publishes its counters into
 	// (serve.*); nil creates a private registry.
 	Metrics *obs.Metrics
@@ -298,9 +292,9 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		}),
 		httpSrv: &httpServerRef{},
 	}
-	// "auto" is not a registry entry — the resolver replaces it per solve
-	// (and its fallback, dijkstra, supports every graph), so only concrete
-	// kernel names need the startup validation.
+	// "auto" is not a registry entry but the dispatch table, which only
+	// picks kernels that support the graph, so only concrete kernel names
+	// need the startup validation.
 	if cfg.Kernel != "" && cfg.Kernel != core.KernelAuto {
 		k, err := core.LookupKernel(cfg.Kernel)
 		if err != nil {
@@ -602,7 +596,6 @@ func (s *Server) load(ctx context.Context, pin *dyn.Snapshot, srcs []int32, tier
 	rows, err := s.rows.Load(ctx, pin.Version, uint8(tier), srcs, func(cold []int32) ([][]matrix.Dist, error) {
 		sub, err := core.SolveSubset(pin.G, cold, core.Options{
 			Workers: s.cfg.Workers,
-			Batch:   s.cfg.Batch,
 			Kernel:  s.cfg.Kernel,
 		})
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 
 func TestSolverKindAPI(t *testing.T) {
 	g := testGraph(t, 150, 21)
-	s := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchForce})
+	s := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelMSBFS})
 	ctx := context.Background()
 
 	_, kind, err := dist(ctx, s, 3, 9, 0)
@@ -28,7 +28,7 @@ func TestSolverKindAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := SolverBatch + "/" + core.KernelMSBFS; kind != want {
-		t.Fatalf("cold dist kind under BatchForce: kind %q, want %q", kind, want)
+		t.Fatalf("cold dist kind with msbfs pinned: kind %q, want %q", kind, want)
 	}
 	if _, kind, err = dist(ctx, s, 3, 10, 0); err != nil || kind != SolverCache {
 		t.Fatalf("warm dist kind: kind %q err %v, want %q", kind, err, SolverCache)
@@ -42,11 +42,11 @@ func TestSolverKindAPI(t *testing.T) {
 			snap["serve.solve.batch"], snap["serve.solve.scalar"])
 	}
 
-	// A scalar-pinned server reports the scalar default on the same cold
+	// A dijkstra-pinned server reports the scalar kind on the same cold
 	// query.
-	s2 := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchOff})
+	s2 := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelDijkstra})
 	if _, kind, err := dist(ctx, s2, 3, 9, 0); err != nil || kind != SolverScalar+"/"+core.KernelDijkstra {
-		t.Fatalf("cold dist kind under BatchOff: kind %q err %v, want scalar/dijkstra", kind, err)
+		t.Fatalf("cold dist kind with dijkstra pinned: kind %q err %v, want scalar/dijkstra", kind, err)
 	}
 	if got := s2.Metrics().Snapshot()["serve.solve.scalar"]; got != 1 {
 		t.Fatalf("serve.solve.scalar = %d, want 1", got)
@@ -54,14 +54,14 @@ func TestSolverKindAPI(t *testing.T) {
 }
 
 // TestSolverKindPinnedKernel pins Config.Kernel end to end: the pinned
-// kernel bypasses the batch policy, shows up in the reported kind, and
+// kernel bypasses the dispatch table, shows up in the reported kind, and
 // still answers exactly (the cached row from a delta solve agrees with a
 // dijkstra server's answer).
 func TestSolverKindPinnedKernel(t *testing.T) {
 	g := testGraph(t, 150, 23)
 	ctx := context.Background()
 	pinned := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelDelta})
-	plain := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchOff})
+	plain := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelDijkstra})
 
 	ap, kind, err := dist(ctx, pinned, 7, 90, 0)
 	if err != nil {
@@ -88,10 +88,10 @@ func TestSolverKindAutoKernel(t *testing.T) {
 	g := testGraph(t, 150, 25)
 	ctx := context.Background()
 	s := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelAuto})
-	plain := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchOff})
+	plain := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelDijkstra})
 
-	// One cold source on a small unweighted graph is below the batch
-	// thresholds, so auto resolves to the scalar dijkstra kernel.
+	// One cold source is below the lane engines' source threshold, so auto
+	// resolves to the scalar dijkstra kernel.
 	aa, kind, err := dist(ctx, s, 7, 90, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestServeRejectsBadKernel(t *testing.T) {
 
 func TestSolverKindHeader(t *testing.T) {
 	g := testGraph(t, 150, 22)
-	s := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Batch: core.BatchForce})
+	s := newTestServer(t, g, Config{Workers: 2, Landmarks: -1, Kernel: core.KernelMSBFS})
 	h := s.Handler()
 
 	get := func(url string) *httptest.ResponseRecorder {

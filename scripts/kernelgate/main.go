@@ -1,7 +1,7 @@
 // Command kernelgate is the kernel performance regression gate: it
 // compares a freshly measured kernelcmp report against the checked-in
 // baseline and fails when a kernel's relative cost regressed or the
-// adaptive selector drifted off the measured best.
+// default dispatch (the report's auto row) drifted off the measured best.
 //
 // Comparison is ratio-against-ratio, never wall clock against wall clock:
 // every report row carries vs_dijkstra, the kernel's elapsed relative to
