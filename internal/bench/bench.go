@@ -32,11 +32,6 @@ type Config struct {
 	// MaxMemBytes bounds the distance-matrix allocation; experiments
 	// that would exceed it are skipped with a note rather than thrashing.
 	MaxMemBytes uint64
-	// Kernel pins the SSSP kernel of the traced solve (RunTraced, i.e.
-	// apspbench -trace/-metrics) to a registered core kernel name; empty
-	// keeps the automatic selection. The comparison experiments ignore it
-	// — they sweep kernels themselves.
-	Kernel string
 }
 
 // Default returns the harness defaults: a thread sweep of 1-16, one run,
@@ -204,15 +199,5 @@ func sortedCopy(threads []int) []int {
 	out := make([]int, len(threads))
 	copy(out, threads)
 	sort.Ints(out)
-	return out
-}
-
-// sortedKeys returns m's keys in lexical order for stable table output.
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

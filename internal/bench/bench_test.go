@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"parapsp/internal/core"
 )
 
 // tinyConfig keeps harness self-tests fast: minimal scales and sweeps.
@@ -26,8 +24,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig7", "fig8", "fig9", "fig9-amdahl", "fig10", "seqgap", "baselines",
 		"exactness", "complexity", "distmem", "workstats", "weighted", "oracle",
 		"ablation-queue", "ablation-buckets",
-		"ablation-threshold", "ablation-reuse", "kernelcmp", "kernels",
-		"load", "obs-overhead", "serve", "store", "batch",
+		"ablation-threshold", "ablation-reuse",
 	}
 	got := IDs()
 	if len(got) != len(want) {
@@ -208,44 +205,6 @@ func TestConfigNormalization(t *testing.T) {
 	c2 := Config{Scale: 0.5, Runs: 9}.normalized()
 	if c2.Scale != 0.5 || c2.Runs != 9 {
 		t.Error("explicit fields overwritten")
-	}
-}
-
-// TestKernelCompareAllocs pins the pooled-kernel alloc contract through
-// the report schema: every kernel with pooled per-worker scratch reports
-// allocs_per_solve == 0 (steady state, core.KernelSteadyAllocs), and the
-// auto row names the concrete kernel it resolved to. Skipped under the
-// race detector, whose instrumentation allocates.
-func TestKernelCompareAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kernel race skipped in -short mode")
-	}
-	rep, err := BuildKernelCompareReport(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled := map[string]bool{
-		core.KernelDijkstra:  true,
-		core.KernelDelta:     true,
-		core.KernelDeltaStar: true,
-		core.KernelRho:       true,
-	}
-	for _, ds := range rep.Datasets {
-		for _, r := range ds.Rows {
-			if r.Kernel == core.KernelAuto {
-				if r.Resolved == "" || r.Resolved == core.KernelAuto {
-					t.Errorf("%s: auto row resolved to %q, want a concrete kernel", ds.Dataset, r.Resolved)
-				}
-				continue
-			}
-			if r.Resolved != "" {
-				t.Errorf("%s/%s: concrete row carries resolved=%q", ds.Dataset, r.Kernel, r.Resolved)
-			}
-			if pooled[r.Kernel] && r.AllocsPerSolve != 0 && !benchRaceEnabled {
-				t.Errorf("%s/%s: allocs_per_solve = %.1f, want 0 (pooled scratch)",
-					ds.Dataset, r.Kernel, r.AllocsPerSolve)
-			}
-		}
 	}
 }
 

@@ -804,6 +804,14 @@ func runExactness(cfg Config, w io.Writer) error {
 	return nil
 }
 
+// laneKernel names the multi-source lane kernel that solves g.
+func laneKernel(g *graph.Graph) string {
+	if g.Weighted() {
+		return core.KernelSweep
+	}
+	return core.KernelMSBFS
+}
+
 func runAblationQueue(cfg Config, w io.Writer) error {
 	g, err := synth(cfg, "Flickr", scaleAPSPFlickr, true)
 	if err != nil {

@@ -140,13 +140,44 @@ func TestApspSmoke(t *testing.T) {
 	// A pinned kernel is reported back and computes the same diameter.
 	out = run(t, 0, bin, "-in", g, "-undirected", "-workers", "2", "-kernel", "delta")
 	wantLines(t, out, "kernel delta", "diameter: 5")
+
+	// The exporters: -trace writes a Chrome trace file and -metrics prints
+	// the counter snapshot on stdout, both valid JSON.
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	stdout, err := exec.Command(bin, "-in", g, "-undirected", "-workers", "2",
+		"-trace", trace, "-metrics").Output()
+	if err != nil {
+		t.Fatalf("apsp -trace -metrics: %v", err)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &events); err != nil || len(events.TraceEvents) == 0 {
+		t.Fatalf("trace file: %d events, err %v:\n%s", len(events.TraceEvents), err, data)
+	}
+	start := bytes.Index(stdout, []byte("\n{"))
+	if start < 0 {
+		t.Fatalf("no JSON object on stdout:\n%s", stdout)
+	}
+	var metrics map[string]int64
+	if err := json.NewDecoder(bytes.NewReader(stdout[start:])).Decode(&metrics); err != nil || len(metrics) == 0 {
+		t.Fatalf("metrics JSON: %d counters, err %v:\n%s", len(metrics), err, stdout)
+	}
 }
 
+// TestApspbenchSmoke: the CLI lists exactly the paper registry that
+// EXPERIMENTS.md records and runs one experiment from it.
 func TestApspbenchSmoke(t *testing.T) {
 	bin := build(t, "apspbench")
-	out := run(t, 0, bin, "-list")
-	wantLines(t, out, "fig9", "kernels", "obs-overhead")
-	out = run(t, 0, bin, "-exp", "exactness", "-scale", "0.02", "-threads", "2", "-runs", "1")
+	lines := strings.Split(strings.TrimSpace(run(t, 0, bin, "-list")), "\n")
+	if len(lines) != 24 || !strings.HasPrefix(lines[0], "table2 ") || !strings.HasPrefix(lines[23], "ablation-reuse ") {
+		t.Fatalf("-list: want the 24 experiments table2 .. ablation-reuse, got %d:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	out := run(t, 0, bin, "-exp", "exactness", "-scale", "0.02", "-threads", "2", "-runs", "1")
 	wantLines(t, out, "exactness")
 }
 
