@@ -122,7 +122,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 
 // WriteJSON writes the snapshot as an indented flat JSON object with
 // lexicographically sorted keys (encoding/json's map ordering), the blob
-// apspbench -metrics emits and -benchjson merges into its report.
+// apsp -metrics prints on stdout.
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
 	if err != nil {

@@ -19,6 +19,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"parapsp/internal/matrix"
 )
@@ -62,6 +66,12 @@ var ErrFrame = errors.New("store: malformed frame")
 // the build-time landmark oracle; the rows need not be valid distances of
 // the current graph — they are only a dictionary — so graph mutations
 // never invalidate them.
+//
+// The row handed out for an id never changes in place. A Store memoizes
+// each dictionary row's checksum by the slice it was computed from (its
+// first element and length): a provider may hand out a different slice
+// for an id, which is then re-hashed, but must not rewrite the contents
+// of a slice it has handed out.
 type RefProvider interface {
 	// RefFor picks the dictionary row for encoding src's row: a refID > 0
 	// and the row, or (0, nil) to fall back to self-delta.
@@ -71,33 +81,67 @@ type RefProvider interface {
 	RefRow(id uint32) []matrix.Dist
 }
 
+// Worst-case frame sizes. A delta between two Dist values lies strictly
+// between -2^32 and 2^32, so its zigzag value fits in 33 bits: at most 5
+// varint bytes. The rest of a frame is magic and format, refID and
+// refCheck (uint32s, 5 bytes each), count (up to 10) and the payload
+// checksum (5).
+const (
+	maxEntryLen      = 5
+	maxFrameOverhead = 2 + 5 + 5 + 10 + 5
+)
+
 // AppendFrame encodes row as one frame appended to dst and returns the
 // extended slice. refID and ref describe the dictionary row (refID 0 and
 // a nil ref select self-delta); ref, when given, must have len(row)
-// entries. With a dst of sufficient capacity the encode allocates nothing
-// (pinned by TestCodecSteadyAllocs).
+// entries. When dst has room for a worst-case frame (5 bytes per entry
+// plus 27) the encode allocates nothing (pinned by TestCodecSteadyAllocs).
 func AppendFrame(dst []byte, row []matrix.Dist, refID uint32, ref []matrix.Dist) []byte {
-	dst = append(dst, frameMagic, frameFormat)
 	var refCheck uint32
 	if refID != 0 {
 		refCheck = rowCheck(ref)
 	}
+	return appendFrame(dst, row, refID, ref, refCheck)
+}
+
+// appendFrame is AppendFrame with the dictionary row's checksum supplied,
+// so the store can pass its memoized value. It grows dst once to the
+// worst-case frame size and writes the entries by index, one-byte
+// varints inline.
+func appendFrame(dst []byte, row []matrix.Dist, refID uint32, ref []matrix.Dist, refCheck uint32) []byte {
+	dst = slices.Grow(dst, maxFrameOverhead+maxEntryLen*len(row))
+	dst = append(dst, frameMagic, frameFormat)
 	dst = appendUvarint(dst, uint64(refID))
 	dst = appendUvarint(dst, uint64(refCheck))
 	dst = appendUvarint(dst, uint64(len(row)))
-	payloadStart := len(dst)
-	prev := int64(0)
-	for i, d := range row {
-		refV := prev
-		if refID != 0 {
-			refV = int64(ref[i])
+	start := len(dst)
+	out := dst[start:cap(dst)]
+	j := 0
+	if refID != 0 {
+		for i, d := range row {
+			u := zigzag(int64(d) - int64(ref[i]))
+			if u < 0x80 {
+				out[j] = byte(u)
+				j++
+				continue
+			}
+			j = putUvarint(out, j, u)
 		}
-		delta := int64(d) - refV
-		dst = appendUvarint(dst, zigzag(delta))
-		prev = int64(d)
+	} else {
+		prev := int64(0)
+		for _, d := range row {
+			u := zigzag(int64(d) - prev)
+			prev = int64(d)
+			if u < 0x80 {
+				out[j] = byte(u)
+				j++
+				continue
+			}
+			j = putUvarint(out, j, u)
+		}
 	}
-	sum := bytesCheck(dst[payloadStart:])
-	return appendUvarint(dst, uint64(sum))
+	dst = dst[:start+j]
+	return appendUvarint(dst, uint64(bytesCheck(dst[start:])))
 }
 
 // DecodeFrame decodes one frame into a row of expectN entries. dst is
@@ -106,6 +150,12 @@ func AppendFrame(dst []byte, row []matrix.Dist, refID uint32, ref []matrix.Dist)
 // self-delta frames are expected. Every malformed input returns an error
 // wrapping ErrFrame.
 func DecodeFrame(frame []byte, expectN int, dst []matrix.Dist, refs RefProvider) ([]matrix.Dist, error) {
+	return decodeFrame(frame, expectN, dst, refs, nil)
+}
+
+// decodeFrame is DecodeFrame with an optional checksum memo for the
+// dictionary rows (nil hashes the row on every call).
+func decodeFrame(frame []byte, expectN int, dst []matrix.Dist, refs RefProvider, sums *refSums) ([]matrix.Dist, error) {
 	if len(frame) < 2 {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrFrame, len(frame))
 	}
@@ -147,7 +197,7 @@ func DecodeFrame(frame []byte, expectN int, dst []matrix.Dist, refs RefProvider)
 		if len(ref) != count {
 			return nil, fmt.Errorf("%w: dictionary row %d has %d entries, frame %d", ErrFrame, refID64, len(ref), count)
 		}
-		if got := rowCheck(ref); uint64(got) != refCheck {
+		if got := sums.sum(uint32(refID64), ref); uint64(got) != refCheck {
 			return nil, fmt.Errorf("%w: dictionary row %d checksum 0x%08x, frame expects 0x%08x", ErrFrame, refID64, got, refCheck)
 		}
 	} else if refCheck != 0 {
@@ -159,23 +209,13 @@ func DecodeFrame(frame []byte, expectN int, dst []matrix.Dist, refs RefProvider)
 		dst = make([]matrix.Dist, count)
 	}
 	payload := p
-	prev := int64(0)
-	for i := 0; i < count; i++ {
-		var u uint64
-		u, p, err = readUvarint(p)
-		if err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrFrame, i, err)
-		}
-		refV := prev
-		if refID64 != 0 {
-			refV = int64(ref[i])
-		}
-		v := refV + unzigzag(u)
-		if v < 0 || v > int64(matrix.Inf) {
-			return nil, fmt.Errorf("%w: entry %d decodes to %d, outside [0, %d]", ErrFrame, i, v, uint32(matrix.Inf))
-		}
-		dst[i] = matrix.Dist(v)
-		prev = v
+	if refID64 != 0 {
+		p, err = decodeRefDeltas(p, dst, ref)
+	} else {
+		p, err = decodeSelfDeltas(p, dst)
+	}
+	if err != nil {
+		return nil, err
 	}
 	want := bytesCheck(payload[:len(payload)-len(p)])
 	sum, p, err := readUvarint(p)
@@ -191,6 +231,77 @@ func DecodeFrame(frame []byte, expectN int, dst []matrix.Dist, refs RefProvider)
 	return dst, nil
 }
 
+// decodeRefDeltas parses len(dst) zigzag deltas from p, entry i against
+// ref[i], and returns the bytes after them. It and decodeSelfDeltas
+// differ only in what a delta is added to: the delta mode is chosen once
+// per frame, not per entry. Both parse by index, the one- and two-byte
+// varints that carry nearly every entry inline and anything longer,
+// truncated or malformed through readUvarint.
+func decodeRefDeltas(p []byte, dst, ref []matrix.Dist) ([]byte, error) {
+	ref = ref[:len(dst)]
+	j := 0
+	for i := range dst {
+		var u uint64
+		if j < len(p) && p[j] < 0x80 {
+			u = uint64(p[j])
+			j++
+		} else if j+1 < len(p) && p[j+1] < 0x80 {
+			u = uint64(p[j]&0x7f) | uint64(p[j+1])<<7
+			j += 2
+		} else {
+			v, rest, err := readUvarint(p[j:])
+			if err != nil {
+				return nil, fmt.Errorf("%w: entry %d: %v", ErrFrame, i, err)
+			}
+			u = v
+			j = len(p) - len(rest)
+		}
+		v := int64(ref[i]) + unzigzag(u)
+		if uint64(v) > uint64(matrix.Inf) {
+			return nil, entryRangeErr(i, v)
+		}
+		dst[i] = matrix.Dist(v)
+	}
+	return p[j:], nil
+}
+
+// decodeSelfDeltas parses len(dst) zigzag deltas from p, each against the
+// previous entry (the first against 0), and returns the bytes after them.
+func decodeSelfDeltas(p []byte, dst []matrix.Dist) ([]byte, error) {
+	prev := int64(0)
+	j := 0
+	for i := range dst {
+		var u uint64
+		if j < len(p) && p[j] < 0x80 {
+			u = uint64(p[j])
+			j++
+		} else if j+1 < len(p) && p[j+1] < 0x80 {
+			u = uint64(p[j]&0x7f) | uint64(p[j+1])<<7
+			j += 2
+		} else {
+			v, rest, err := readUvarint(p[j:])
+			if err != nil {
+				return nil, fmt.Errorf("%w: entry %d: %v", ErrFrame, i, err)
+			}
+			u = v
+			j = len(p) - len(rest)
+		}
+		v := prev + unzigzag(u)
+		if uint64(v) > uint64(matrix.Inf) {
+			return nil, entryRangeErr(i, v)
+		}
+		dst[i] = matrix.Dist(v)
+		prev = v
+	}
+	return p[j:], nil
+}
+
+// entryRangeErr reports an entry that decodes outside [0, Inf]; as a
+// uint64, a negative v also compares above Inf.
+func entryRangeErr(i int, v int64) error {
+	return fmt.Errorf("%w: entry %d decodes to %d, outside [0, %d]", ErrFrame, i, v, uint32(matrix.Inf))
+}
+
 func zigzag(d int64) uint64   { return uint64((d << 1) ^ (d >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
@@ -202,6 +313,18 @@ func appendUvarint(dst []byte, u uint64) []byte {
 		u >>= 7
 	}
 	return append(dst, byte(u))
+}
+
+// putUvarint writes u as a varint at b[j:] and returns the index after
+// it; b must have room (appendFrame sizes it for the worst case).
+func putUvarint(b []byte, j int, u uint64) int {
+	for u >= 0x80 {
+		b[j] = byte(u) | 0x80
+		u >>= 7
+		j++
+	}
+	b[j] = byte(u)
+	return j + 1
 }
 
 // readUvarint decodes one LEB128 varint from p, returning the value and
@@ -253,4 +376,48 @@ func bytesCheck(p []byte) uint32 {
 		h *= fnvPrime32
 	}
 	return h
+}
+
+// refSums memoizes rowCheck per dictionary row for one store: frames are
+// encoded and decoded against a handful of landmark rows, and hashing
+// one costs as much as decoding a frame. An entry holds only for the
+// slice it was computed from (same first element, same length), so a
+// provider that hands out a different slice for an id is re-hashed, and
+// a frame encoded against the old row still fails its refCheck; this
+// relies on RefProvider's rule that a handed-out row never changes in
+// place. Readers take no lock and a hit allocates nothing: the map is
+// copied on write and published atomically. The entries keep alive only
+// rows the provider already keeps alive for the store's lifetime.
+type refSums struct {
+	mu sync.Mutex // serializes writers
+	m  atomic.Pointer[map[uint32]refSum]
+}
+
+type refSum struct {
+	first *matrix.Dist
+	n     int
+	sum   uint32
+}
+
+// sum returns rowCheck(ref) for dictionary row id, from the memo when ref
+// is the slice it was computed from. A nil memo hashes every time.
+func (c *refSums) sum(id uint32, ref []matrix.Dist) uint32 {
+	if c == nil || len(ref) == 0 {
+		return rowCheck(ref)
+	}
+	if m := c.m.Load(); m != nil {
+		if e, ok := (*m)[id]; ok && e.first == &ref[0] && e.n == len(ref) {
+			return e.sum
+		}
+	}
+	sum := rowCheck(ref)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := make(map[uint32]refSum)
+	if m := c.m.Load(); m != nil {
+		maps.Copy(next, *m)
+	}
+	next[id] = refSum{first: &ref[0], n: len(ref), sum: sum}
+	c.m.Store(&next)
+	return sum
 }

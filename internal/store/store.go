@@ -157,8 +157,9 @@ type Store struct {
 	queued    int64 // payload bytes sitting in spillQ
 	wg        sync.WaitGroup
 
-	encPool sync.Pool // *[]byte frame scratch
+	encPool sync.Pool // *[]byte worst-case frame scratch: encodes and cold reads
 	rowPool sync.Pool // *[]matrix.Dist decode scratch (Reconcile)
+	sums    refSums   // dictionary-row checksums, see refSums
 
 	spillTime  obs.Timing
 	compacts   *obs.Counter
@@ -244,7 +245,7 @@ func Open(cfg Config) (*Store, error) {
 		decodeErrs: cfg.Metrics.Counter("store.decode_errors"),
 		recovered:  cfg.Metrics.Counter("store.recovered_frames"),
 	}
-	s.encPool.New = func() any { b := make([]byte, 0, 64+cfg.N); return &b }
+	s.encPool.New = func() any { b := make([]byte, 0, maxFrameOverhead+maxEntryLen*cfg.N); return &b }
 	s.rowPool.New = func() any { r := make([]matrix.Dist, cfg.N); return &r }
 	if cfg.SpillBytes > 0 {
 		if cfg.SpillPath == "" {
@@ -280,6 +281,34 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// encode returns src's row as a frame against its dictionary row, with
+// the memoized dictionary checksum. The frame is encoded in pooled
+// scratch and returned as an exact-length copy, so the bytes a tier
+// accounts for are all the frame holds.
+func (s *Store) encode(src int32, row []matrix.Dist) []byte {
+	var (
+		refID, refCheck uint32
+		ref             []matrix.Dist
+	)
+	if s.cfg.Refs != nil {
+		if refID, ref = s.cfg.Refs.RefFor(src); refID != 0 {
+			refCheck = s.sums.sum(refID, ref)
+		}
+	}
+	bufp := s.encPool.Get().(*[]byte)
+	frame := appendFrame((*bufp)[:0], row, refID, ref, refCheck)
+	buf := make([]byte, len(frame))
+	copy(buf, frame)
+	s.encPool.Put(bufp)
+	return buf
+}
+
+// decode decodes a frame of this store into dst (nil allocates a row),
+// with the memoized dictionary checksums.
+func (s *Store) decode(frame []byte, dst []matrix.Dist) ([]matrix.Dist, error) {
+	return decodeFrame(frame, s.cfg.N, dst, s.cfg.Refs, &s.sums)
+}
+
 // put encodes row and admits it to the warm tier (or directly to the
 // spill queue when the warm tier is disabled): T1's demotion. An existing
 // frame for the same key is replaced. Rows are copied by encoding — the
@@ -288,22 +317,7 @@ func (s *Store) put(key Key, row []matrix.Dist) {
 	if len(row) != s.cfg.N {
 		return
 	}
-	var refID uint32
-	var ref []matrix.Dist
-	if s.cfg.Refs != nil {
-		refID, ref = s.cfg.Refs.RefFor(key.Src)
-	}
-	bufp := s.encPool.Get().(*[]byte)
-	frame := AppendFrame((*bufp)[:0], row, refID, ref)
-	buf := make([]byte, len(frame))
-	copy(buf, frame)
-	// The frame was copied out, so the scratch always returns to the
-	// pool — keeping the reallocated backing array when the frame outgrew
-	// the old one.
-	if cap(frame) > cap(*bufp) {
-		*bufp = frame[:0]
-	}
-	s.encPool.Put(bufp)
+	buf := s.encode(key.Src, row)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,7 +347,8 @@ func (s *Store) put(key Key, row []matrix.Dist) {
 
 // get removes and decodes the warm or cold frame for key, returning a
 // freshly allocated row and the tier it came from, or (nil, TierNone).
-// Promotion is exclusive, so the frame leaves the store. A frame that
+// Promotion is exclusive, so the frame leaves the store; a cold frame is
+// read into pooled scratch, which the decode releases. A frame that
 // fails to decode (corrupt arena record, missing dictionary) counts a
 // decode error and reports a miss; the caller re-solves.
 func (s *Store) get(key Key) ([]matrix.Dist, Tier) {
@@ -344,8 +359,9 @@ func (s *Store) get(key Key) ([]matrix.Dist, Tier) {
 		return nil, TierNone
 	}
 	var (
-		buf  []byte
-		tier Tier
+		buf     []byte
+		tier    Tier
+		scratch *[]byte
 	)
 	switch e.state {
 	case stateWarm, stateSpilling:
@@ -363,14 +379,19 @@ func (s *Store) get(key Key) ([]matrix.Dist, Tier) {
 		gen := s.arena.generation()
 		s.removeLocked(e)
 		s.mu.Unlock()
+		scratch = s.encPool.Get().(*[]byte)
 		var err error
-		buf, err = s.arena.read(off, plen, diskKey, gen, nil)
+		buf, err = s.arena.read(off, plen, diskKey, gen, (*scratch)[:0])
 		if err != nil {
+			s.encPool.Put(scratch)
 			s.decodeErrs.Add(1)
 			return nil, TierNone
 		}
 	}
-	row, err := DecodeFrame(buf, s.cfg.N, nil, s.cfg.Refs)
+	row, err := s.decode(buf, nil)
+	if scratch != nil {
+		s.encPool.Put(scratch)
+	}
 	if err != nil {
 		s.decodeErrs.Add(1)
 		return nil, TierNone
@@ -462,7 +483,7 @@ func (s *Store) reconcileFrames(oldVer, newVer uint64, judge func([]matrix.Dist)
 			}
 			buf = colds
 		}
-		row, err := DecodeFrame(buf, s.cfg.N, *rowp, s.cfg.Refs)
+		row, err := s.decode(buf, *rowp)
 		if err != nil {
 			s.removeLocked(e)
 			s.decodeErrs.Add(1)
@@ -494,12 +515,7 @@ func (s *Store) putWarmLocked(key Key, row []matrix.Dist) {
 	if old, ok := s.index[key]; ok {
 		s.removeLocked(old)
 	}
-	var refID uint32
-	var ref []matrix.Dist
-	if s.cfg.Refs != nil {
-		refID, ref = s.cfg.Refs.RefFor(key.Src)
-	}
-	buf := AppendFrame(nil, row, refID, ref)
+	buf := s.encode(key.Src, row)
 	e := &entry{key: key, buf: buf}
 	if s.cfg.WarmBytes > 0 {
 		e.state = stateWarm
@@ -697,8 +713,8 @@ func (s *Store) arenaSize() int64 {
 	return s.arena.size
 }
 
-// Stats is a point-in-time residency snapshot for /healthz and the
-// storebench report.
+// Stats is a point-in-time residency snapshot for /healthz and
+// serve.Server.StoreStats.
 type Stats struct {
 	HotRows   int
 	HotBytes  int64

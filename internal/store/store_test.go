@@ -1,9 +1,12 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,7 +36,7 @@ func (s *Store) contains(key Key) bool {
 	return hot || ok
 }
 
-func mustOpen(t *testing.T, cfg Config) *Store {
+func mustOpen(t testing.TB, cfg Config) *Store {
 	t.Helper()
 	s, err := Open(cfg)
 	if err != nil {
@@ -502,4 +505,196 @@ func TestStoreConcurrentChurn(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
+}
+
+// TestReconcileRepairedFramesAreExact pins the warm budget's accounting
+// of repaired frames: Reconcile re-encodes them into scratch and stores
+// exact-length copies, so a warm frame holds no capacity beyond the
+// len(buf) bytes the budget counts.
+func TestReconcileRepairedFramesAreExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	n := 2000
+	refs := &testRefs{rows: map[uint32][]matrix.Dist{1: genRow(rng, n, "powerlaw")}, pick: map[int32]uint32{}}
+	s := mustOpen(t, Config{N: n, WarmBytes: 1 << 22, Refs: refs})
+	for i := int32(0); i < 8; i++ {
+		refs.pick[i] = uint32(i % 2) // self-delta and reference frames
+		s.put(Key{Src: i, Ver: 1}, genRow(rng, n, "powerlaw"))
+	}
+	st := s.Reconcile(1, 2, func([]matrix.Dist) Verdict { return Repair }, func(row []matrix.Dist) int {
+		row[0] = 0
+		return 1
+	})
+	if st.Repaired != 8 {
+		t.Fatalf("repaired %d of 8: %+v", st.Repaired, st)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var bytes int64
+	for k, e := range s.index {
+		if e.state != stateWarm {
+			t.Fatalf("%v: state %d, want warm", k, e.state)
+		}
+		if cap(e.buf) != len(e.buf) {
+			t.Errorf("%v: warm frame of %d bytes holds a capacity of %d", k, len(e.buf), cap(e.buf))
+		}
+		bytes += int64(len(e.buf))
+	}
+	if bytes != s.warm {
+		t.Fatalf("warm tier counts %d bytes, frames hold %d", s.warm, bytes)
+	}
+}
+
+// swapRefs is a dictionary whose rows a test can replace.
+type swapRefs struct {
+	mu   sync.Mutex
+	rows map[uint32][]matrix.Dist
+}
+
+func (r *swapRefs) RefFor(src int32) (uint32, []matrix.Dist) { return 1, r.RefRow(1) }
+
+func (r *swapRefs) RefRow(id uint32) []matrix.Dist {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rows[id]
+}
+
+func (r *swapRefs) set(id uint32, row []matrix.Dist) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rows[id] = row
+}
+
+// TestReplacedDictionaryRowMisses hands out a new slice with different
+// content for a dictionary id after frames were encoded against the old
+// one. The checksum memo is keyed by the slice, so the new row is
+// re-hashed: every old frame fails its dictionary check, in promotes and
+// in Reconcile, counts a decode error and never yields a row decoded
+// against the wrong reference. Frames encoded after the swap round-trip.
+func TestReplacedDictionaryRowMisses(t *testing.T) {
+	for _, tier := range []string{"warm", "cold"} {
+		t.Run(tier, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(15))
+			n := 512
+			refs := &swapRefs{rows: map[uint32][]matrix.Dist{1: genRow(rng, n, "grid")}}
+			cfg := Config{N: n, WarmBytes: 1 << 20, Refs: refs}
+			if tier == "cold" {
+				cfg.WarmBytes = 0
+				cfg.SpillBytes = 1 << 22
+				cfg.SpillPath = filepath.Join(t.TempDir(), "arena")
+				cfg.Fingerprint = 5
+			}
+			s := mustOpen(t, cfg)
+			rows := map[int32][]matrix.Dist{}
+			for i := int32(0); i < 6; i++ {
+				rows[i] = genRow(rng, n, "grid")
+				s.put(Key{Src: i, Ver: 1}, rows[i])
+			}
+			if tier == "cold" {
+				waitCold(t, s, 6)
+			}
+			// One promote before the swap fills the memo for id 1.
+			if got, found := s.get(Key{Src: 0, Ver: 1}); found == TierNone || !slices.Equal(got, rows[0]) {
+				t.Fatalf("promote before the swap: tier %v", found)
+			}
+
+			refs.set(1, genRow(rng, n, "grid"))
+			ctx := context.Background()
+			srcs := []int32{1, 2, 3}
+			got, err := s.Load(ctx, 1, 0, srcs, func(miss []int32) ([][]matrix.Dist, error) {
+				if !slices.Equal(miss, srcs) {
+					t.Errorf("solve called for %v, want %v", miss, srcs)
+				}
+				out := make([][]matrix.Dist, len(miss))
+				for i, src := range miss {
+					out[i] = rows[src]
+				}
+				return out, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, src := range srcs {
+				if !slices.Equal(got[i], rows[src]) {
+					t.Fatalf("row %d differs from its solve", src)
+				}
+			}
+			if errs := s.decodeErrs.Load(); errs != 3 {
+				t.Fatalf("%d decode errors after three stale promotes, want 3", errs)
+			}
+			// Reconcile judges the three rows the Load installed in T1 and
+			// drops the two stale frames without judging them.
+			st := s.Reconcile(1, 2, func(row []matrix.Dist) Verdict {
+				exact := false
+				for _, r := range rows {
+					exact = exact || slices.Equal(r, row)
+				}
+				if !exact {
+					t.Error("Reconcile judged a row decoded against the replaced dictionary row")
+				}
+				return Keep
+			}, nil)
+			if st.Retagged != 3 || st.Dropped != 2 || s.decodeErrs.Load() != 5 {
+				t.Fatalf("Reconcile over two stale frames: %+v, %d decode errors", st, s.decodeErrs.Load())
+			}
+
+			// Frames encoded against the new row decode again.
+			s.put(Key{Src: 9, Ver: 2}, rows[1])
+			if tier == "cold" {
+				waitCold(t, s, 1)
+			}
+			if got, found := s.get(Key{Src: 9, Ver: 2}); found == TierNone || !slices.Equal(got, rows[1]) {
+				t.Fatalf("frame encoded after the swap: tier %v", found)
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentSharedDictionary runs put and get from 8 goroutines
+// over one dictionary on a fresh store, so the checksum memo is filled
+// under contention; check.sh runs it under -race -count=10. Every row a
+// get returns must be the row put for its key, and no frame may fail to
+// decode.
+func TestStoreConcurrentSharedDictionary(t *testing.T) {
+	const n, srcs, workers = 256, 64, 8
+	rng := rand.New(rand.NewSource(16))
+	refs := &testRefs{rows: map[uint32][]matrix.Dist{}, pick: map[int32]uint32{}}
+	for id := uint32(1); id <= 4; id++ {
+		refs.rows[id] = genRow(rng, n, "grid")
+	}
+	rows := make([][]matrix.Dist, srcs)
+	for i := range rows {
+		refs.pick[int32(i)] = uint32(i % 5) // 0 = self-delta
+		rows[i] = genRow(rng, n, "grid")
+	}
+	s := mustOpen(t, Config{
+		N:           n,
+		WarmBytes:   4 << 10,
+		SpillBytes:  1 << 20,
+		SpillPath:   filepath.Join(t.TempDir(), "arena"),
+		Fingerprint: 6,
+		Refs:        refs,
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for j := 0; j < 300; j++ {
+				src := int32(rng.Intn(srcs))
+				if rng.Intn(2) == 0 {
+					s.put(Key{Src: src, Ver: 1}, rows[src])
+					continue
+				}
+				if got, tier := s.get(Key{Src: src, Ver: 1}); tier != TierNone && !slices.Equal(got, rows[src]) {
+					t.Errorf("row %d from tier %v differs from the row put", src, tier)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if errs := s.decodeErrs.Load(); errs != 0 {
+		t.Fatalf("%d decode errors", errs)
+	}
 }

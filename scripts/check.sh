@@ -2,10 +2,12 @@
 # Repo-wide gate: build, vet, the default test pass (which executes the
 # seeded fuzz corpora as regression cases and the cmd end-to-end smokes,
 # the trace/metrics exporters included), a race-enabled pass over the
-# concurrent machinery, the performance gate (scripts/gate: the tiered
-# store's memory-wall contracts and the kernel race, held against
-# scripts/gate_baseline.json), and the benchmark module's own vet and
-# smoke test. Run from anywhere inside the repo.
+# concurrent machinery, the kernel and frame-codec microbenchmark smokes,
+# a bounded fuzz of the store's frame decoder against its reference, the
+# performance gate (scripts/gate: the tiered store's memory-wall
+# contracts and the kernel race, held against scripts/gate_baseline.json),
+# and the benchmark module's own vet and smoke test. Run from anywhere
+# inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,8 +24,13 @@ go test -shuffle=on ./...
 echo "== go test -race . ./internal/..."
 go test -race . ./internal/...
 
-echo "== kernel microbenchmarks (1 iteration, smoke)"
+echo "== kernel + frame codec microbenchmarks (1 iteration, smoke)"
 go test -run '^$' -bench . -benchtime=1x ./internal/kernel/
+go test -run '^$' -bench Frame -benchtime=1x ./internal/store/
+
+echo "== store frame codec: 10 s fuzz of the decoder vs its reference + shared-dictionary put/get (race-enabled, 10 runs)"
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/store/
+go test -race -count=10 -run '^TestStoreConcurrent' ./internal/store/
 
 echo "== kernel differential suite (registry battery + batch engines vs scalar, race-enabled)"
 go test -race -run 'TestBatch|TestKernel' -count=1 ./internal/core/
