@@ -9,7 +9,7 @@
 //	apsp -in graph.txt -undirected -workers 8
 //	apsp -in social.txt.gz -undirected -top 20
 //	apsp -in roads.txt -weighted -algorithm ParAlg2
-//	apsp -in roads.txt -weighted -kernel delta
+//	apsp -in roads.txt -weighted -kernel deltastar
 package main
 
 import (

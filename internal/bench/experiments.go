@@ -828,7 +828,7 @@ func runAblationQueue(cfg Config, w io.Writer) error {
 	}{
 		{"dedup FIFO (SPFA bitmap)", core.Options{Kernel: core.KernelDijkstra}},
 		{"paper FIFO (duplicates)", core.Options{PaperQueue: true}},
-		{"binary heap (Dijkstra)", core.Options{HeapQueue: true}},
+		{"binary heap (Dijkstra)", core.Options{Kernel: core.KernelHeap}},
 	} {
 		times := make([]time.Duration, 0, len(cfg.Threads))
 		for _, p := range sortedCopy(cfg.Threads) {

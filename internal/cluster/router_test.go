@@ -143,7 +143,7 @@ func routerGet(h http.Handler, target string) *httptest.ResponseRecorder {
 }
 
 func TestRouterRoutesToOwner(t *testing.T) {
-	r, _ := newFakeCluster(t, 3, Config{})
+	r, _ := newFakeCluster(t, 3, Config{HedgeAfter: time.Minute}) // hedging out of the picture
 	h := r.Handler()
 	for src := int32(0); src < 32; src++ {
 		owner := r.mem.current().owners(src)[0].ID

@@ -200,7 +200,7 @@ func (sc *batchScratch) sweepSSSP(g *graph.Graph, sources []int32, rows [][]matr
 	return sweeps
 }
 
-// laneKernel registers the two multi-source batch engines as lane-width
+// laneKernel wraps the two multi-source batch engines as lane-width
 // source kernels: "msbfs" for unweighted graphs, "sweep" for weighted
 // ones. Grain() == batchLaneWidth makes the pipeline runner hand each Run
 // call one lane-width group of consecutive ordered sources — the batch the
@@ -210,17 +210,12 @@ type laneKernel struct {
 	weighted bool
 }
 
-func init() {
-	RegisterKernel(laneKernel{name: KernelMSBFS, weighted: false})
-	RegisterKernel(laneKernel{name: KernelSweep, weighted: true})
-}
-
 func (k laneKernel) Name() string { return k.name }
 func (k laneKernel) Grain() int   { return batchLaneWidth }
 
 // Supports refuses what the lane engines cannot do: they are
 // single-weighting by construction, and the scalar-only mechanisms (paths,
-// the queue ablations, reuse accounting) have no lane formulation.
+// the paper queue, the reuse ablation) have no lane formulation.
 func (k laneKernel) Supports(g *graph.Graph, opts Options) error {
 	if g.Weighted() != k.weighted {
 		want := "an unweighted"
@@ -229,7 +224,7 @@ func (k laneKernel) Supports(g *graph.Graph, opts Options) error {
 		}
 		return fmt.Errorf("%w: kernel %q needs %s graph", ErrInvalid, k.name, want)
 	}
-	if opts.TrackPaths || opts.PaperQueue || opts.HeapQueue || opts.DisableRowReuse {
+	if opts.TrackPaths || opts.PaperQueue || opts.DisableRowReuse {
 		return fmt.Errorf("%w: kernel %q cannot run the scalar-only options (paths/queue/reuse ablations)", ErrInvalid, k.name)
 	}
 	return nil

@@ -191,7 +191,6 @@ func TestBatchForceRespectsLegality(t *testing.T) {
 	}
 	for _, opts := range []Options{
 		{PaperQueue: true},
-		{HeapQueue: true},
 		{DisableRowReuse: true},
 	} {
 		forced := opts

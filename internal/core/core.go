@@ -75,17 +75,12 @@ type Options struct {
 	// Ratio is Algorithm 3's partial ordering ratio r for the
 	// selection-sort based algorithms. 0 means the paper's r = 1.0.
 	Ratio float64
-	// HeapQueue switches the modified Dijkstra from the paper's FIFO
-	// label-correcting queue to a binary min-heap (classic Dijkstra with
-	// lazy deletion). Solutions are identical; this is the queue-discipline
-	// ablation. Incompatible with TrackPaths and PaperQueue. It is the
-	// legacy spelling of Kernel: "heap".
-	HeapQueue bool
 	// Kernel pins the SSSP source kernel by registry name ("dijkstra",
-	// "heap", "delta", "deltastar", "rho", "pardij", "msbfs", "sweep" —
-	// see Kernels()). Empty, or its synonym "auto" (KernelAuto), lets the
-	// dispatch table pick from the graph's weighting and degree skew, the
-	// source count and the options (resolveKernel, kernelreg.go);
+	// "heap", "deltastar", "msbfs", "sweep" — see Kernels()); "heap" is
+	// the queue-discipline ablation, a binary min-heap in place of the
+	// paper's FIFO queue. Empty, or its synonym "auto" (KernelAuto), lets
+	// the dispatch table pick from the graph's weighting and degree skew,
+	// the source count and the options (resolveKernel, kernelreg.go);
 	// Result.Kernel reports the kernel that actually ran. Solve fails with
 	// ErrInvalid when a named kernel cannot solve the graph/options
 	// combination exactly (for example "msbfs" on a weighted graph). The
@@ -188,9 +183,6 @@ func Solve(g *graph.Graph, alg Algorithm, opts Options) (*Result, error) {
 	}
 	if alg == SeqAdaptive && opts.TrackPaths {
 		return nil, fmt.Errorf("%w: TrackPaths is not supported by SeqAdaptive", ErrInvalid)
-	}
-	if opts.HeapQueue && (opts.TrackPaths || opts.PaperQueue || alg == SeqAdaptive) {
-		return nil, fmt.Errorf("%w: HeapQueue cannot combine with TrackPaths, PaperQueue, or SeqAdaptive", ErrInvalid)
 	}
 	n := g.N()
 	if opts.MaxMemBytes != 0 {

@@ -399,7 +399,7 @@ func TestHeapQueueMatchesFIFO(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := Solve(g, ParAPSP, Options{Workers: 3, HeapQueue: true})
+		b, err := Solve(g, ParAPSP, Options{Workers: 3, Kernel: KernelHeap})
 		if err != nil {
 			return false
 		}
@@ -417,7 +417,7 @@ func TestHeapQueueScaleFreeAndSequential(t *testing.T) {
 	}
 	ref := baseline.DijkstraAPSP(g)
 	for _, alg := range []Algorithm{SeqBasic, SeqOptimized, ParAlg1, ParAlg2, ParAPSP} {
-		res, err := Solve(g, alg, Options{Workers: 4, HeapQueue: true})
+		res, err := Solve(g, alg, Options{Workers: 4, Kernel: KernelHeap})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -430,14 +430,14 @@ func TestHeapQueueScaleFreeAndSequential(t *testing.T) {
 func TestHeapQueueInvalidCombos(t *testing.T) {
 	g, _ := graph.FromPairs(2, true, [][2]int32{{0, 1}})
 	for _, opts := range []Options{
-		{HeapQueue: true, TrackPaths: true},
-		{HeapQueue: true, PaperQueue: true},
+		{Kernel: KernelHeap, TrackPaths: true},
+		{Kernel: KernelHeap, PaperQueue: true},
 	} {
 		if _, err := Solve(g, ParAPSP, opts); !errors.Is(err, ErrInvalid) {
 			t.Errorf("combo %+v accepted: %v", opts, err)
 		}
 	}
-	if _, err := Solve(g, SeqAdaptive, Options{HeapQueue: true}); !errors.Is(err, ErrInvalid) {
+	if _, err := Solve(g, SeqAdaptive, Options{Kernel: KernelHeap}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("SeqAdaptive heap accepted: %v", err)
 	}
 }
@@ -448,7 +448,7 @@ func TestHeapQueueNoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := baseline.BFSAPSP(g)
-	res, err := Solve(g, ParAPSP, Options{Workers: 2, HeapQueue: true, DisableRowReuse: true})
+	res, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelHeap, DisableRowReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

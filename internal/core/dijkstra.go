@@ -364,8 +364,6 @@ func adaptiveDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 // the folds.
 type dijkstraKernel struct{}
 
-func init() { RegisterKernel(dijkstraKernel{}) }
-
 func (dijkstraKernel) Name() string                                { return KernelDijkstra }
 func (dijkstraKernel) Supports(g *graph.Graph, opts Options) error { return nil }
 func (dijkstraKernel) Grain() int                                  { return 1 }

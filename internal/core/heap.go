@@ -75,8 +75,9 @@ func newHeapScratch(n int) *heapScratch {
 // at most once — the FIFO variant may reprocess a vertex whose distance
 // improved — at the price of O(log n) queue operations.
 //
-// The solutions are identical; the HeapQueue ablation measures which queue
-// discipline wins on scale-free inputs (the paper implicitly chose FIFO).
+// The solutions are identical; the heap kernel's ablation measures which
+// queue discipline wins on scale-free inputs (the paper implicitly chose
+// FIFO).
 func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *heapScratch, opts Options) {
 	row := dest.row(s)
 	row[s] = 0
@@ -148,13 +149,10 @@ func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *h
 	dest.publish(f, s)
 }
 
-// heapKernel registers the heap formulation as the "heap" kernel — the
-// queue-discipline ablation, also reachable through the legacy
-// Options.HeapQueue flag. Path tracking and the paper-verbatim queue are
-// FIFO-solver mechanisms and are rejected.
+// heapKernel exposes the heap formulation as the "heap" kernel — the
+// queue-discipline ablation. Path tracking and the paper-verbatim queue
+// are FIFO-solver mechanisms and are rejected.
 type heapKernel struct{}
-
-func init() { RegisterKernel(heapKernel{}) }
 
 func (heapKernel) Name() string { return KernelHeap }
 func (heapKernel) Grain() int   { return 1 }

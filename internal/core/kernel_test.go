@@ -15,13 +15,10 @@ import (
 // so registering a new kernel without adding it here (and thereby to the
 // battery) fails CI.
 var batteryKernels = []string{
-	KernelDelta,
 	KernelDeltaStar,
 	KernelDijkstra,
 	KernelHeap,
 	KernelMSBFS,
-	KernelParDij,
-	KernelRho,
 	KernelSweep,
 }
 
@@ -137,12 +134,11 @@ func TestKernelOptionValidation(t *testing.T) {
 		opts Options
 	}{
 		{"unknown kernel", ParAPSP, Options{Kernel: "nope"}},
-		{"heapqueue contradicts kernel", ParAPSP, Options{HeapQueue: true, Kernel: KernelDelta}},
-		{"adaptive cannot swap kernels", SeqAdaptive, Options{Kernel: KernelDelta}},
+		{"adaptive cannot swap kernels", SeqAdaptive, Options{Kernel: KernelDeltaStar}},
 		{"msbfs needs unweighted", ParAPSP, Options{Kernel: KernelMSBFS}},
-		{"delta cannot track paths", ParAPSP, Options{Kernel: KernelDelta, TrackPaths: true}},
+		{"deltastar cannot track paths", ParAPSP, Options{Kernel: KernelDeltaStar, TrackPaths: true}},
 		{"sweep cannot disable reuse", ParAPSP, Options{Kernel: KernelSweep, DisableRowReuse: true}},
-		{"pardij cannot track paths", ParAPSP, Options{Kernel: KernelParDij, TrackPaths: true}},
+		{"heap cannot track paths", ParAPSP, Options{Kernel: KernelHeap, TrackPaths: true}},
 		{"deltastar has no paper queue", ParAPSP, Options{Kernel: KernelDeltaStar, PaperQueue: true}},
 	}
 	for _, tc := range cases {
@@ -150,25 +146,21 @@ func TestKernelOptionValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrInvalid", tc.name, err)
 		}
 	}
-	// HeapQueue with the matching explicit kernel name is fine, and so is
-	// SeqAdaptive naming the kernel it runs.
-	if _, err := Solve(g, ParAPSP, Options{HeapQueue: true, Kernel: KernelHeap}); err != nil {
-		t.Errorf("HeapQueue + Kernel=heap: %v", err)
-	}
+	// SeqAdaptive naming the kernel it runs is fine.
 	if _, err := Solve(g, SeqAdaptive, Options{Kernel: KernelDijkstra}); err != nil {
 		t.Errorf("SeqAdaptive + Kernel=dijkstra: %v", err)
 	}
-	// Delta composes with the reuse ablation (it just never folds).
-	res, err := Solve(g, ParAPSP, Options{Kernel: KernelDelta, DisableRowReuse: true})
+	// Deltastar composes with the reuse ablation (it just never folds).
+	res, err := Solve(g, ParAPSP, Options{Kernel: KernelDeltaStar, DisableRowReuse: true})
 	if err != nil {
-		t.Fatalf("delta without reuse: %v", err)
+		t.Fatalf("deltastar without reuse: %v", err)
 	}
 	base, err := Solve(g, ParAPSP, Options{Kernel: KernelDijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.D.Checksum() != base.D.Checksum() {
-		t.Error("delta without reuse diverged from baseline")
+		t.Error("deltastar without reuse diverged from baseline")
 	}
 }
 
@@ -265,9 +257,8 @@ func TestKernelDispatchTable(t *testing.T) {
 		k    int // k == g.N() runs Solve, else SolveSubset
 		want string
 	}{
-		{"explicit kernel", plw, ParAPSP, Options{Kernel: KernelRho}, 16, KernelRho},
+		{"explicit kernel", plw, ParAPSP, Options{Kernel: KernelDeltaStar}, 16, KernelDeltaStar},
 		{"explicit dijkstra, full solve", plw, ParAPSP, Options{Kernel: KernelDijkstra}, n, KernelDijkstra},
-		{"heap queue", plw, ParAPSP, Options{HeapQueue: true}, 16, KernelHeap},
 		{"track paths", plw, ParAPSP, Options{TrackPaths: true}, 16, KernelDijkstra},
 		{"paper queue", plw, ParAPSP, Options{PaperQueue: true}, 16, KernelDijkstra},
 		{"reuse disabled", plw, ParAPSP, Options{DisableRowReuse: true}, 16, KernelDijkstra},

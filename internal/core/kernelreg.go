@@ -9,32 +9,28 @@ import (
 	"parapsp/internal/obs"
 )
 
-// The pluggable SSSP-kernel registry. The paper's ParAPSP is a staged
-// pipeline — Ordering → Schedule → SourceKernel → Fold — and the source
-// kernel (the per-source shortest-path procedure that stage three runs for
-// every ordered source) is its natural variation point: Kranjčević et
-// al.'s shared-memory Δ-stepping and Kainer & Träff's parallel Dijkstra
-// differ from the paper's modified Dijkstra only there. This file owns
-// that seam: SourceKernel is the stage-three interface, the registry maps
+// The SSSP-kernel registry. The paper's ParAPSP is a staged pipeline —
+// Ordering → Schedule → SourceKernel → Fold — and the source kernel (the
+// per-source shortest-path procedure that stage three runs for every
+// ordered source) is its natural variation point: Δ-stepping (Meyer &
+// Sanders; Kranjčević et al.) and the multi-source lane engines differ
+// from the paper's modified Dijkstra only there. This file owns that
+// seam: SourceKernel is the stage-three interface, the registry maps
 // names to implementations, and resolveKernel is the one place the solver
-// entry points (Solve, SolveSubset, SSSPPhase) pick a kernel — an explicit
-// Options.Kernel, else the dispatch table below.
+// entry points (Solve, SolveSubset, SSSPPhase) pick a kernel — an
+// explicit Options.Kernel, else the dispatch table below.
 //
-// Registered kernels:
+// The registry holds the kernels the dispatch table picks plus the
+// paper's two reference points:
 //
-//	dijkstra - the paper's FIFO label-correcting modified Dijkstra
-//	           (Algorithm 1), including its PaperQueue and TrackPaths
-//	           variants (dijkstra.go, paths.go)
-//	heap     - classic Dijkstra with lazy deletion, the queue-discipline
-//	           ablation (heap.go)
-//	delta     - Δ-stepping with light/heavy edge split and auto-tuned Δ
-//	            (kdelta.go)
-//	deltastar - lazy-batched Δ*-stepping: bucket maintenance deferred into
-//	            append-only pending lists validated at pop (ksteps.go)
-//	rho       - lazy-batched ρ-stepping: flat pool, each step expands the ρ
-//	            smallest tentative distances (ksteps.go)
-//	pardij    - exact Dijkstra with intra-source parallel edge relaxation
-//	            over dmin+wmin phases (kpardij.go)
+//	dijkstra  - the paper's FIFO label-correcting modified Dijkstra
+//	            (Algorithm 1), including its PaperQueue and TrackPaths
+//	            variants (dijkstra.go, paths.go); the differential
+//	            reference
+//	heap      - classic Dijkstra with lazy deletion, the queue-discipline
+//	            ablation (heap.go)
+//	deltastar - lazy-batched Δ*-stepping with a light/heavy edge split and
+//	            auto-tuned Δ (ksteps.go, ksplit.go)
 //	msbfs     - bit-parallel multi-source BFS, 64 sources per lane word,
 //	            unweighted graphs only (batch.go)
 //	sweep     - lane-major shared-sweep label-correcting SSSP, weighted
@@ -48,10 +44,7 @@ import (
 const (
 	KernelDijkstra  = "dijkstra"
 	KernelHeap      = "heap"
-	KernelDelta     = "delta"
 	KernelDeltaStar = "deltastar"
-	KernelRho       = "rho"
-	KernelParDij    = "pardij"
 	KernelMSBFS     = EngineMSBFS
 	KernelSweep     = EngineSweep
 )
@@ -66,7 +59,7 @@ const KernelAuto = "auto"
 // turns one ordered source (or one lane-width group of sources) into final
 // distance rows.
 type SourceKernel interface {
-	// Name is the registry key, surfaced by the -kernel flags, the serve
+	// Name is the registry key, surfaced by apsp's -kernel flag, the serve
 	// layer's X-Parapsp-Solver header, and Result.Kernel.
 	Name() string
 	// Supports reports whether the kernel can solve this graph/options
@@ -164,19 +157,15 @@ func (d rowDest) publish(f *flags, t int32) {
 	f.set(t)
 }
 
-// kernelRegistry maps kernel names to implementations. Registration
-// happens in init functions, so the map is read-only afterwards and safe
-// for concurrent lookup.
-var kernelRegistry = map[string]SourceKernel{}
-
-// RegisterKernel adds a kernel to the registry; it panics on a duplicate
-// name (two kernels claiming one name is a programming error).
-func RegisterKernel(k SourceKernel) {
-	name := k.Name()
-	if _, dup := kernelRegistry[name]; dup {
-		panic(fmt.Sprintf("core: duplicate kernel %q", name))
-	}
-	kernelRegistry[name] = k
+// kernelRegistry maps kernel names to implementations. It is one
+// literal, so two kernels claiming one name is a compile error, and it is
+// never written, so concurrent lookups are safe.
+var kernelRegistry = map[string]SourceKernel{
+	KernelDijkstra:  dijkstraKernel{},
+	KernelHeap:      heapKernel{},
+	KernelDeltaStar: deltaStarKernel{},
+	KernelMSBFS:     laneKernel{name: KernelMSBFS, weighted: false},
+	KernelSweep:     laneKernel{name: KernelSweep, weighted: true},
 }
 
 // Kernels returns the sorted names of all registered kernels. The
@@ -235,31 +224,27 @@ const (
 // graphs, DESIGN.md §9):
 //
 //  1. An explicit kernel: that kernel, if its Supports accepts.
-//  2. HeapQueue: heap, the legacy spelling of the queue ablation.
-//  3. TrackPaths, PaperQueue, DisableRowReuse, a sequential preset, or
+//  2. TrackPaths, PaperQueue, DisableRowReuse, a sequential preset, or
 //     k < batchMinSources: dijkstra. The options and presets are the
 //     paper's FIFO mechanism by definition; below 8 sources neither lanes
 //     nor buckets pay for themselves (k=1: 0.31 ms/row against sweep 0.35
 //     and deltastar 0.52).
-//  4. Unweighted, n ≥ batchMinVertices: msbfs. BFS levels are the exact
+//  3. Unweighted, n ≥ batchMinVertices: msbfs. BFS levels are the exact
 //     distances and one adjacency sweep advances 64 searches.
-//  5. Weighted, heavy-tailed, n ≥ batchMinVertices, k < n/2: sweep. A
+//  4. Weighted, heavy-tailed, n ≥ batchMinVertices, k < n/2: sweep. A
 //     sparse subset finds few finished rows to fold, so the shared sweep
 //     wins (k=16: 0.16 ms/row against dijkstra 0.35); near k = n/2 on
 //     random subsets deltastar catches up.
-//  6. Weighted, heavy-tailed: deltastar. With most rows in the solve, late
+//  5. Weighted, heavy-tailed: deltastar. With most rows in the solve, late
 //     searches fold finished hub rows, and distance-ordered pops reach the
 //     hubs sooner (full solve: 19.2 ms against dijkstra 28.5, sweep 106).
-//  7. Otherwise, weighted meshes among them: dijkstra. Narrow frontiers
+//  6. Otherwise, weighted meshes among them: dijkstra. Narrow frontiers
 //     give buckets nothing to order and lanes nothing to share.
 func resolveKernel(alg Algorithm, g *graph.Graph, opts Options, k int) (SourceKernel, error) {
 	if opts.Kernel == KernelAuto {
 		opts.Kernel = ""
 	}
 	if opts.Kernel != "" {
-		if opts.HeapQueue && opts.Kernel != KernelHeap {
-			return nil, fmt.Errorf("%w: HeapQueue contradicts Kernel=%q", ErrInvalid, opts.Kernel)
-		}
 		if alg == SeqAdaptive && opts.Kernel != KernelDijkstra {
 			return nil, fmt.Errorf("%w: SeqAdaptive interleaves ordering with execution and cannot swap kernels", ErrInvalid)
 		}
@@ -275,10 +260,8 @@ func resolveKernel(alg Algorithm, g *graph.Graph, opts Options, k int) (SourceKe
 	n := g.N()
 	name := KernelDijkstra
 	switch {
-	case opts.HeapQueue:
-		name = KernelHeap
 	case opts.TrackPaths || opts.PaperQueue || opts.DisableRowReuse || alg < ParAlg1 || k < batchMinSources:
-		// row 3 keeps dijkstra
+		// row 2 keeps dijkstra
 	case !g.Weighted():
 		if n >= batchMinVertices {
 			name = KernelMSBFS

@@ -5,9 +5,9 @@ import (
 	"parapsp/internal/matrix"
 )
 
-// Shared preparation of the stepping kernels (delta, deltastar): the
-// bucket-width heuristic and the light/heavy CSR split both operate on the
-// same Δ, so they live together and every stepping kernel Binds through
+// Per-solve preparation of the Δ*-stepping kernel (deltastar, ksteps.go):
+// the bucket-width heuristic and the light/heavy CSR split both operate
+// on the same Δ, so they live together and the kernel Binds through
 // buildLHSplit.
 
 // denseDeltaDegree is the mean-degree threshold of the dense regime of
@@ -58,11 +58,11 @@ func deltaWidth(g *graph.Graph) matrix.Dist {
 	return matrix.Dist(delta)
 }
 
-// lhSplit is the read-only per-solve preparation shared by the stepping
-// kernels: the bucket width and the light/heavy CSR split (light = weight
-// ≤ Δ, heavy = weight > Δ). On unweighted graphs split stays false — with
-// Δ = 1 every unit edge is light and the original adjacency serves as the
-// light set.
+// lhSplit is the read-only per-solve preparation the stepping kernel's
+// workers share: the bucket width and the light/heavy CSR split (light =
+// weight ≤ Δ, heavy = weight > Δ). On unweighted graphs split stays
+// false — with Δ = 1 every unit edge is light and the original adjacency
+// serves as the light set.
 type lhSplit struct {
 	delta matrix.Dist
 	split bool

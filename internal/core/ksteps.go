@@ -9,71 +9,64 @@ import (
 	"parapsp/internal/matrix"
 )
 
-// The lazy-batched stepping kernels, after Dong, Gu, Sun & Zhang's
-// stepping-algorithm framework (arXiv:2105.06145). Classic Δ-stepping
-// (kdelta.go) pays for every decrease-key: push maintains an exact inverse
-// map (bucketOf) so each vertex sits in at most one bucket and stale
-// entries are tombstoned. The lazy variants drop that maintenance
-// entirely — every relaxation that improves a vertex appends one entry to
-// a pending list and nothing is ever moved or deleted. Validity is
-// decided at pop time against lastExp, the tentative distance at which the
-// vertex was last expanded in this source's search:
+// The Δ*-stepping source kernel: lazy-batched Δ-stepping after Dong, Gu,
+// Sun & Zhang's stepping-algorithm framework (arXiv:2105.06145), which
+// treats Δ-, Δ*- and ρ-stepping as policies of one algorithm; this is the
+// one policy the dispatch table picks. Vertices with tentative distance d
+// are due in bucket ⌊d/Δ⌋ (Meyer & Sanders; the shared-memory formulation
+// follows Kranjčević et al., arXiv:1604.02113). Bucket i is drained to a
+// fixpoint over the light edges (weight ≤ Δ) — a relaxation can re-fill
+// the bucket being drained — and the heavy edges (weight > Δ) of every
+// vertex settled in the bucket are then relaxed once, since a heavy edge
+// can only reach buckets > i. Δ = 1 on an unweighted graph degenerates to
+// BFS. The width heuristic and the light/heavy CSR split live in
+// ksplit.go.
+//
+// Classic Δ-stepping pays for every decrease-key: push maintains an exact
+// inverse map so each vertex sits in at most one bucket and stale entries
+// are tombstoned. The lazy variant drops that maintenance entirely —
+// every relaxation that improves a vertex appends one entry to a pending
+// list and nothing is ever moved or deleted. Validity is decided at pop
+// time against lastExp, the tentative distance at which the vertex was
+// last expanded in this source's search:
 //
 //	a popped entry for v is live  ⇔  row[v] < lastExp[v]
 //
 // The invariant this rests on: whenever row[v] improves, an entry for v is
-// appended at (or before, clamped to) the bucket/step where that distance
-// is due; so after the final improvement of v there is always a pending
+// appended at (or before, clamped to) the bucket where that distance is
+// due; so after the final improvement of v there is always a pending
 // entry that will pop while row[v] < lastExp[v], and v is then expanded
 // (or folded) at its final distance. Duplicate and stale entries fail the
 // comparison and cost one array read. Expansion sets lastExp[v] = row[v],
 // so re-expansion happens only after a further strict improvement —
 // exactly the reprocessing the eager variant does via re-bucketing.
 //
-// Two variants share the scratch:
-//
-//	deltastar - Δ*-stepping: bucketed like kdelta.go (light fixpoint then
-//	            one heavy pass per bucket, light/heavy CSR split shared
-//	            via buildLHSplit), but with lazy append-only buckets.
-//	rho       - ρ-stepping: no buckets at all; a flat pool of pending
-//	            vertices, and each step expands the pool entries whose
-//	            tentative distance is ≤ the ρ-th smallest (quickselect),
-//	            carrying the rest. ρ caps the priority inversion per step
-//	            while keeping batches large enough to amortize.
-//
-// Both compose with completed-row reuse exactly like kdelta.go: a live pop
-// of a vertex with a published row folds and skips all its edges (the fold
-// bounds every continuation, heavy included), and fold-improved vertices
-// are not re-enqueued.
+// The kernel composes with completed-row reuse. When a live pop t has a
+// published final row, the row is folded into the current row and t's
+// edges — light AND heavy — are skipped: row t is final and the triangle
+// inequality D[t][x] ≤ D[t][u] + w(u,x) means the fold already bounds
+// every continuation through t. For the same reason fold-improved
+// vertices are not re-enqueued (the argument of modifiedDijkstra). A
+// popped vertex's distance may therefore sit below its bucket's nominal
+// range; pushes are clamped never to land behind the cursor (label
+// correcting makes late processing harmless, never wrong).
 
-// stepRho is the ρ-stepping batch bound: each step expands at most ρ
-// pending vertices (the smallest tentative distances). Small ρ approaches
-// Dijkstra's strict distance order (few wasted re-relaxations, many
-// steps); large ρ approaches plain label correcting. 1<<9 sits at the flat
-// bottom of the measured range on the benchmark families.
-const stepRho = 1 << 9
-
-// stepScratch is the per-worker state of one lazy stepping run. Every run
-// ends with the buckets and pool empty and lastExp all Inf (reset via the
-// touched list), so the scratch pools across sources and solves.
+// stepScratch is the per-worker state of one Δ*-stepping run. Every run
+// ends with the buckets empty and lastExp all Inf (reset via the touched
+// list), so the scratch pools across sources and solves.
 type stepScratch struct {
-	// buckets are deltastar's lazy pending lists, indexed by absolute
-	// bucket number and grown on demand; entries are appended on every
+	// buckets are the lazy pending lists, indexed by absolute bucket
+	// number and grown on demand; entries are appended on every
 	// improvement, never moved or deleted.
 	buckets [][]int32
 	// lastExp[v] is the tentative distance at which v was last expanded
 	// or folded in the current source's search; Inf = not yet.
 	lastExp []matrix.Dist
 	touched []int32
-	// rvec/inR: deltastar's settled set awaiting heavy relaxation, as in
-	// kdelta.go.
-	rvec []int32
-	inR  []bool
-	// pool/next: ρ-stepping's flat pending pool and the next step's.
-	pool []int32
-	next []int32
-	// dists holds the live pool distances for the quickselect.
-	dists    []matrix.Dist
+	// rvec/inR: the settled set of the current bucket awaiting heavy
+	// relaxation.
+	rvec     []int32
+	inR      []bool
 	improved []int32
 	stats    Counters
 	maxB     int
@@ -114,57 +107,33 @@ func (sc *stepScratch) lazyPush(v int32, b int, st *Counters) {
 	st.Enqueues++
 }
 
-// stepsSupports is the shared option validation: the stepping kernels are
-// distance-only, like delta.
-func stepsSupports(name string, opts Options) error {
-	if opts.TrackPaths {
-		return fmt.Errorf("%w: kernel %q does not track paths", ErrInvalid, name)
-	}
-	if opts.PaperQueue {
-		return fmt.Errorf("%w: kernel %q has no paper-queue variant", ErrInvalid, name)
-	}
-	return nil
-}
-
 type deltaStarKernel struct{}
-
-func init() { RegisterKernel(deltaStarKernel{}) }
 
 func (deltaStarKernel) Name() string { return KernelDeltaStar }
 func (deltaStarKernel) Grain() int   { return 1 }
 
+// Supports rejects the FIFO solver's mechanisms: the kernel is
+// distance-only and has no paper-queue variant.
 func (deltaStarKernel) Supports(g *graph.Graph, opts Options) error {
-	return stepsSupports(KernelDeltaStar, opts)
+	if opts.TrackPaths {
+		return fmt.Errorf("%w: kernel %q does not track paths", ErrInvalid, KernelDeltaStar)
+	}
+	if opts.PaperQueue {
+		return fmt.Errorf("%w: kernel %q has no paper-queue variant", ErrInvalid, KernelDeltaStar)
+	}
+	return nil
 }
 
+// Bind computes the shared read-only preparation once per solve: the
+// bucket width and the light/heavy CSR split every worker then reads
+// (buildLHSplit, ksplit.go).
 func (deltaStarKernel) Bind(rt *Runtime) KernelRun {
 	return &stepRun{rt: rt, lh: buildLHSplit(rt.G), scratches: make([]*stepScratch, rt.Workers)}
 }
 
-type rhoKernel struct{}
-
-func init() { RegisterKernel(rhoKernel{}) }
-
-func (rhoKernel) Name() string { return KernelRho }
-func (rhoKernel) Grain() int   { return 1 }
-
-func (rhoKernel) Supports(g *graph.Graph, opts Options) error {
-	return stepsSupports(KernelRho, opts)
-}
-
-// Bind for ρ-stepping skips the light/heavy split: the paper's ρ variant
-// batches by pool rank, not by weight class, so the full adjacency is
-// relaxed at expansion.
-func (rhoKernel) Bind(rt *Runtime) KernelRun {
-	return &stepRun{rt: rt, rho: stepRho, scratches: make([]*stepScratch, rt.Workers)}
-}
-
-// stepRun executes either lazy variant: rho > 0 selects ρ-stepping,
-// otherwise Δ*-stepping over the bound split.
 type stepRun struct {
 	rt        *Runtime
 	lh        lhSplit
-	rho       int
 	scratches []*stepScratch
 }
 
@@ -175,11 +144,7 @@ func (r *stepRun) Run(w, lo, hi int) {
 		r.scratches[w] = sc
 	}
 	for i := lo; i < hi; i++ {
-		if r.rho > 0 {
-			r.rhoSource(r.rt.Sources[i], sc)
-		} else {
-			r.deltaStarSource(r.rt.Sources[i], sc)
-		}
+		r.deltaStarSource(r.rt.Sources[i], sc)
 	}
 }
 
@@ -195,8 +160,6 @@ func (r *stepRun) Finish() Counters {
 }
 
 // deltaStarSource runs one lazy Δ*-stepping SSSP from s into dest's row.
-// Bucket structure and fold behavior mirror deltaRun.source; only the
-// queue discipline differs (append-only buckets, pop-side validation).
 func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 	rt := r.rt
 	g := rt.G
@@ -257,7 +220,8 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 		sc.buckets[cur] = sc.buckets[cur][:0]
 
 		// Heavy phase: one relaxation of the heavy edges of every vertex
-		// settled in this bucket, exactly as in kdelta.go.
+		// settled in this bucket. Heavy targets land in buckets > cur
+		// (clamped likewise when a fold dragged the source distance back).
 		for _, t := range rvec {
 			sc.inR[t] = false
 			dt := row[t]
@@ -283,136 +247,4 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 	}
 	sc.touched = sc.touched[:0]
 	dest.publish(f, s)
-}
-
-// rhoSource runs one ρ-stepping SSSP from s into dest's row. Each step
-// first compacts the pool to its live entries (row[v] < lastExp[v]), then
-// expands the entries with tentative distance ≤ θ, the ρ-th smallest
-// (every entry when the pool is small), carrying the rest to the next
-// step together with the newly improved vertices.
-//
-// Every step makes progress: the minimum-distance live entry always has
-// dt ≤ θ, and mid-step improvements only lower row values, so its
-// expansion check still passes when its turn comes.
-func (r *stepRun) rhoSource(s int32, sc *stepScratch) {
-	rt := r.rt
-	g := rt.G
-	dest := rt.Dest
-	f := rt.Flags
-	row := dest.row(s)
-	row[s] = 0
-	reuse := !rt.Opts.DisableRowReuse
-	st := &sc.stats
-
-	pool := append(sc.pool[:0], s)
-	next := sc.next[:0]
-	st.Enqueues++
-	for len(pool) > 0 {
-		// Compact to live entries, collecting their distances for the
-		// threshold selection.
-		live := 0
-		ds := sc.dists[:0]
-		for _, v := range pool {
-			if row[v] < sc.lastExp[v] {
-				pool[live] = v
-				live++
-				ds = append(ds, row[v])
-			}
-		}
-		pool = pool[:live]
-		sc.dists = ds
-		if live == 0 {
-			break
-		}
-		theta := matrix.Inf
-		if live > r.rho {
-			theta = selectKth(ds, r.rho)
-		}
-		next = next[:0]
-		for _, t := range pool {
-			dt := row[t]
-			if dt >= sc.lastExp[t] {
-				continue // duplicate entry expanded earlier this step
-			}
-			if dt > theta {
-				next = append(next, t) // carried: beyond this step's batch
-				continue
-			}
-			if sc.lastExp[t] == matrix.Inf {
-				sc.touched = append(sc.touched, t)
-			}
-			sc.lastExp[t] = dt
-			st.Pops++
-
-			if reuse && t != s && f.done(t) {
-				st.Folds++
-				foldRow(dest, row, t, dt, st)
-				continue
-			}
-
-			adj, wts := g.NeighborsW(t)
-			st.EdgeScans += int64(len(adj))
-			imp := sc.improved[:0]
-			if wts == nil {
-				imp = kernel.RelaxUnweighted(row, adj, matrix.AddSat(dt, 1), imp)
-			} else {
-				imp = kernel.RelaxWeighted(row, adj, wts, dt, imp)
-			}
-			st.EdgeUpdates += int64(len(imp))
-			st.Enqueues += int64(len(imp))
-			next = append(next, imp...)
-			sc.improved = imp[:0]
-		}
-		pool, next = next, pool
-	}
-	sc.pool, sc.next = pool[:0], next[:0]
-	for _, v := range sc.touched {
-		sc.lastExp[v] = matrix.Inf
-	}
-	sc.touched = sc.touched[:0]
-	dest.publish(f, s)
-}
-
-// selectKth returns the k-th smallest value of ds (1-based), partially
-// reordering ds in place — Hoare partition with median-of-three pivots.
-// Callers pass scratch distances, so the reordering is free.
-func selectKth(ds []matrix.Dist, k int) matrix.Dist {
-	lo, hi := 0, len(ds)-1
-	k-- // rank, 0-based
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if ds[mid] < ds[lo] {
-			ds[mid], ds[lo] = ds[lo], ds[mid]
-		}
-		if ds[hi] < ds[lo] {
-			ds[hi], ds[lo] = ds[lo], ds[hi]
-		}
-		if ds[hi] < ds[mid] {
-			ds[hi], ds[mid] = ds[mid], ds[hi]
-		}
-		p := ds[mid]
-		i, j := lo, hi
-		for i <= j {
-			for ds[i] < p {
-				i++
-			}
-			for ds[j] > p {
-				j--
-			}
-			if i <= j {
-				ds[i], ds[j] = ds[j], ds[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return ds[k]
-		}
-	}
-	return ds[k]
 }

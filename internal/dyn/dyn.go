@@ -20,13 +20,13 @@
 //   - Classify + RepairImprove implement the row-repair rules. For an
 //     exact distance row of the old graph, an improving arc (u,v,w)
 //     matters iff row[u] + w < row[v]; such rows are repaired in place by
-//     a decrease-only SSSP seeded at the arc head — the same frontier
-//     machinery as the Δ-stepping kernels, touching only vertices whose
-//     label actually drops. A worsening arc matters iff it was tight
-//     (row[u] + oldW == row[v], i.e. it could lie on a recorded shortest
-//     path); such rows cannot be repaired monotonically and are declared
-//     stale for a full re-solve. Every other row is exact as-is and is
-//     merely re-tagged to the new version.
+//     a decrease-only binary-heap Dijkstra seeded at the arc head
+//     (repair.go), touching only vertices whose label actually drops. A
+//     worsening arc matters iff it was tight (row[u] + oldW == row[v],
+//     i.e. it could lie on a recorded shortest path); such rows cannot be
+//     repaired monotonically and are declared stale for a full re-solve.
+//     Every other row is exact as-is and is merely re-tagged to the new
+//     version.
 package dyn
 
 import (

@@ -138,8 +138,8 @@ func TestApspSmoke(t *testing.T) {
 	wantLines(t, out, "shortest path 0 -> 9")
 
 	// A pinned kernel is reported back and computes the same diameter.
-	out = run(t, 0, bin, "-in", g, "-undirected", "-workers", "2", "-kernel", "delta")
-	wantLines(t, out, "kernel delta", "diameter: 5")
+	out = run(t, 0, bin, "-in", g, "-undirected", "-workers", "2", "-kernel", "deltastar")
+	wantLines(t, out, "kernel deltastar", "diameter: 5")
 
 	// The exporters: -trace writes a Chrome trace file and -metrics prints
 	// the counter snapshot on stdout, both valid JSON.

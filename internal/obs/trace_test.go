@@ -61,13 +61,13 @@ func TestWriteTraceGolden(t *testing.T) {
 type traceFile struct {
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 	TraceEvents     []struct {
-		Name string          `json:"name"`
-		Ph   string          `json:"ph"`
-		Pid  int             `json:"pid"`
-		Tid  int             `json:"tid"`
-		Ts   float64         `json:"ts"`
-		Dur  float64         `json:"dur"`
-		Args map[string]any  `json:"args"`
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Pid  int            `json:"pid"`
+		Tid  int            `json:"tid"`
+		Ts   float64        `json:"ts"`
+		Dur  float64        `json:"dur"`
+		Args map[string]any `json:"args"`
 	} `json:"traceEvents"`
 }
 

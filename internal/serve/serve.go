@@ -106,14 +106,6 @@ type Config struct {
 	// the file matches the served graph's fingerprint, else builds and
 	// saves it — turning the k-SSSP oracle build into a one-time cost.
 	OraclePath string
-	// Kernel pins the SSSP kernel of every subset solve to a registered
-	// core kernel name (core.Kernels()), exactly as core.Options.Kernel
-	// does; empty, or core.KernelAuto ("auto"), lets core's dispatch table
-	// pick per solve. Either way the X-Parapsp-Solver response header
-	// reports the kernel that actually ran. Validated at New time against
-	// the served graph, so an unsupported kernel fails at startup, not per
-	// query.
-	Kernel string
 	// Landmarks is the oracle's landmark count (default 16); negative
 	// disables the oracle entirely, making every query exact. The oracle
 	// only answers at the graph version it was built for: the first edge
@@ -292,18 +284,6 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		}),
 		httpSrv: &httpServerRef{},
 	}
-	// "auto" is not a registry entry but the dispatch table, which only
-	// picks kernels that support the graph, so only concrete kernel names
-	// need the startup validation.
-	if cfg.Kernel != "" && cfg.Kernel != core.KernelAuto {
-		k, err := core.LookupKernel(cfg.Kernel)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		if err := k.Supports(g, core.Options{Workers: cfg.Workers, Kernel: cfg.Kernel}); err != nil {
-			return nil, fmt.Errorf("serve: kernel %q cannot serve this graph: %w", cfg.Kernel, err)
-		}
-	}
 	// The graph fingerprint keys every on-disk artifact (oracle file,
 	// spill arena) to this exact graph; computed once, only when needed.
 	var fp uint64
@@ -460,9 +440,9 @@ func (s *Server) checkVertex(v int32) error {
 // produced the answers — the multi-source batch engine, the scalar subset solver, or no
 // solver at all (cache hits, oracle bounds, and trivial u==v queries).
 // When a solve runs, the reported value is qualified with the SSSP kernel
-// that executed it, "<engine>/<kernel>": "batch/msbfs", "batch/sweep",
-// "scalar/dijkstra", "scalar/delta", ... SolverCache stays unqualified —
-// no kernel ran.
+// core's dispatch table picked for it, "<engine>/<kernel>": "batch/msbfs",
+// "batch/sweep", "scalar/dijkstra", "scalar/deltastar". SolverCache stays
+// unqualified — no kernel ran.
 const (
 	SolverBatch  = "batch"
 	SolverScalar = "scalar"
@@ -594,10 +574,7 @@ func distToJSON(d matrix.Dist) int64 {
 func (s *Server) load(ctx context.Context, pin *dyn.Snapshot, srcs []int32, tier admit.Tier) ([][]matrix.Dist, string, error) {
 	kind := SolverCache
 	rows, err := s.rows.Load(ctx, pin.Version, uint8(tier), srcs, func(cold []int32) ([][]matrix.Dist, error) {
-		sub, err := core.SolveSubset(pin.G, cold, core.Options{
-			Workers: s.cfg.Workers,
-			Kernel:  s.cfg.Kernel,
-		})
+		sub, err := core.SolveSubset(pin.G, cold, core.Options{Workers: s.cfg.Workers})
 		if err != nil {
 			return nil, err
 		}

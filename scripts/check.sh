@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo-wide gate: build, vet, the default test pass (which executes the
+# Repo-wide gate: build, vet, a gofmt check over every Go file (the
+# benchmark module included), the default test pass (which executes the
 # seeded fuzz corpora as regression cases and the cmd end-to-end smokes,
 # the trace/metrics exporters included), a race-enabled pass over the
 # concurrent machinery, the kernel and frame-codec microbenchmark smokes,
@@ -17,6 +18,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l . (every Go file, cmd/parapspbench included)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go test -shuffle=on ./... (fuzz seed corpus + cmd e2e smoke included)"
 go test -shuffle=on ./...

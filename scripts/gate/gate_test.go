@@ -2,24 +2,24 @@ package main
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"parapsp/internal/core"
+	"parapsp/internal/gen"
 )
 
 var testDatasets = []string{"power-law", "power-law/subset64", "grid", "grid/subset64"}
 
 // passing returns a synthetic report and a baseline it passes: every
-// gated ratio equals its baseline, the auto row picks rho (0.95) while
-// deltastar (0.90) is best, and every store reading sits inside its bound.
+// gated ratio equals its baseline, the auto row picks dijkstra (1.0)
+// while deltastar (0.90) is best, and every store reading sits inside its
+// bound.
 func passing() (report, *gateBaseline) {
 	ratios := map[string]float64{
 		core.KernelDijkstra:  1,
-		core.KernelDelta:     1.1,
 		core.KernelDeltaStar: 0.9,
-		core.KernelRho:       0.95,
-		core.KernelParDij:    1.2,
 		core.KernelHeap:      60,
 		core.KernelSweep:     2,
 		autoRow:              0.97,
@@ -50,7 +50,7 @@ func passing() (report, *gateBaseline) {
 		for _, k := range raceKernels {
 			r := row{Kernel: k, Ratio: ratios[k], Checksum: 0xfeed}
 			if k == autoRow {
-				r.Resolved = core.KernelRho
+				r.Resolved = core.KernelDijkstra
 			}
 			if !exempt[k] {
 				base.VsDijkstra[name][k] = r.Ratio
@@ -171,16 +171,18 @@ func TestCheck(t *testing.T) {
 				rowOf(t, r, "power-law", core.KernelHeap).Ratio = 1e6
 				b.VsDijkstra["power-law"][core.KernelHeap] = 1
 			}},
-		{name: "fresh row without a baseline", want: "power-law/rho: no baseline row; re-draw the baseline with -write",
-			mut: func(_ *testing.T, _ *report, b *gateBaseline) { delete(b.VsDijkstra["power-law"], core.KernelRho) }},
-		{name: "baseline row not measured", want: "grid/pardij: baseline row was not measured; re-draw the baseline with -write",
-			mut: func(_ *testing.T, r *report, _ *gateBaseline) { removeRow(r, "grid", core.KernelParDij) }},
+		{name: "fresh row without a baseline", want: "power-law/deltastar: no baseline row; re-draw the baseline with -write",
+			mut: func(_ *testing.T, _ *report, b *gateBaseline) {
+				delete(b.VsDijkstra["power-law"], core.KernelDeltaStar)
+			}},
+		{name: "baseline row not measured", want: "grid/sweep: baseline row was not measured; re-draw the baseline with -write",
+			mut: func(_ *testing.T, r *report, _ *gateBaseline) { removeRow(r, "grid", core.KernelSweep) }},
 		{name: "fresh dataset without a baseline", want: "grid/subset64: no baseline dataset; re-draw the baseline with -write",
 			mut: func(_ *testing.T, _ *report, b *gateBaseline) { delete(b.VsDijkstra, "grid/subset64") }},
 		{name: "baseline dataset not measured", want: "grid/subset64: baseline dataset was not measured; re-draw the baseline with -write",
 			mut: func(_ *testing.T, r *report, _ *gateBaseline) { r.Race = r.Race[:3] }},
 		{name: "no baseline: missing rows are not compared", noBase: true,
-			mut: func(_ *testing.T, r *report, _ *gateBaseline) { removeRow(r, "grid", core.KernelParDij) }},
+			mut: func(_ *testing.T, r *report, _ *gateBaseline) { removeRow(r, "grid", core.KernelSweep) }},
 	}
 
 	// Kernels: the three race checks, on each dataset.
@@ -192,22 +194,22 @@ func TestCheck(t *testing.T) {
 				mut: func(t *testing.T, r *report, _ *gateBaseline) { rowOf(t, r, name, autoRow).Checksum++ }},
 			tc{name: name + ": regression at bound",
 				mut: func(t *testing.T, r *report, b *gateBaseline) {
-					rowOf(t, r, name, core.KernelDelta).Ratio = limit(b.VsDijkstra[name][core.KernelDelta], regressTol)
+					rowOf(t, r, name, core.KernelSweep).Ratio = limit(b.VsDijkstra[name][core.KernelSweep], regressTol)
 				}},
-			tc{name: name + ": regression past bound", want: name + "/delta: vs_dijkstra",
+			tc{name: name + ": regression past bound", want: name + "/sweep: vs_dijkstra",
 				mut: func(t *testing.T, r *report, b *gateBaseline) {
-					rowOf(t, r, name, core.KernelDelta).Ratio = above(limit(b.VsDijkstra[name][core.KernelDelta], regressTol))
+					rowOf(t, r, name, core.KernelSweep).Ratio = above(limit(b.VsDijkstra[name][core.KernelSweep], regressTol))
 				}},
 			tc{name: name + ": no baseline skips the regression", noBase: true,
 				mut: func(t *testing.T, r *report, _ *gateBaseline) { rowOf(t, r, name, core.KernelSweep).Ratio = 1e6 }},
-			// The auto row picked rho; deltastar (0.90) is best.
+			// The auto row picked dijkstra; deltastar (0.90) is best.
 			tc{name: name + ": auto pick at bound", noBase: true,
 				mut: func(t *testing.T, r *report, _ *gateBaseline) {
-					rowOf(t, r, name, core.KernelRho).Ratio = limit(0.9, autoTol)
+					rowOf(t, r, name, core.KernelDijkstra).Ratio = limit(0.9, autoTol)
 				}},
-			tc{name: name + ": auto pick past bound", noBase: true, want: name + ": auto (-> rho)",
+			tc{name: name + ": auto pick past bound", noBase: true, want: name + ": auto (-> dijkstra)",
 				mut: func(t *testing.T, r *report, _ *gateBaseline) {
-					rowOf(t, r, name, core.KernelRho).Ratio = above(limit(0.9, autoTol))
+					rowOf(t, r, name, core.KernelDijkstra).Ratio = above(limit(0.9, autoTol))
 				}},
 			tc{name: name + ": auto scored by its pick, not its own draw", noBase: true,
 				mut: func(t *testing.T, r *report, _ *gateBaseline) { rowOf(t, r, name, autoRow).Ratio = 1e6 }},
@@ -234,6 +236,32 @@ func TestCheck(t *testing.T) {
 				t.Fatalf("want one failure containing %q, got %q", c.want, fails)
 			}
 		})
+	}
+}
+
+// TestRaceKernelsCoverRegistry pins raceKernels against the kernel
+// registry, as the core package pins its differential battery: dijkstra
+// first (every ratio's denominator), auto last, and between them exactly
+// the registered kernels that solve a weighted graph, in registry order.
+// A kernel added later cannot escape the race.
+func TestRaceKernelsCoverRegistry(t *testing.T) {
+	g, err := gen.Grid2D(4, 4, true, seed, gen.Weighting{Min: 1, Max: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{core.KernelDijkstra}
+	for _, name := range core.Kernels() {
+		kern, err := core.LookupKernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != core.KernelDijkstra && kern.Supports(g, core.Options{Workers: raceWorkers, Kernel: name}) == nil {
+			want = append(want, name)
+		}
+	}
+	want = append(want, autoRow)
+	if !slices.Equal(raceKernels, want) {
+		t.Fatalf("raceKernels = %v, want %v", raceKernels, want)
 	}
 }
 
