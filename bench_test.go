@@ -371,20 +371,6 @@ func BenchmarkSolveSubset(b *testing.B) {
 	}
 }
 
-// BenchmarkTrackPaths measures the cost of next-hop maintenance.
-func BenchmarkTrackPaths(b *testing.B) {
-	g := benchGraph(b, "WordNet", 0.01)
-	for _, track := range []bool{false, true} {
-		name := "distances-only"
-		if track {
-			name = "with-paths"
-		}
-		b.Run(name, func(b *testing.B) {
-			solveBench(b, g, core.ParAPSP, core.Options{Workers: 4, TrackPaths: track})
-		})
-	}
-}
-
 // BenchmarkBetweenness measures the Brandes layer over the same scheduling
 // substrate.
 func BenchmarkBetweenness(b *testing.B) {

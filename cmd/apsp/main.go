@@ -73,7 +73,6 @@ func main() {
 		Workers:     *workers,
 		Kernel:      *kernelSel,
 		MaxMemBytes: *maxMem << 20,
-		TrackPaths:  *pathQuery != "",
 		Obs:         rec,
 	})
 	if err != nil {
@@ -124,8 +123,9 @@ func main() {
 	}
 }
 
-// printPath resolves a "u,v" query in original labels, reconstructs a
-// shortest path, and prints it back in original labels.
+// printPath resolves a "u,v" query in original labels, walks a shortest
+// path back from the solved distance row (parapsp.Path, the walk the
+// daemon's /path uses), and prints it back in original labels.
 func printPath(query string, g *parapsp.Graph, res *parapsp.Result, labels []int64) error {
 	var u, v int64
 	if _, err := fmt.Sscanf(query, "%d,%d", &u, &v); err != nil {
@@ -153,7 +153,7 @@ func printPath(query string, g *parapsp.Graph, res *parapsp.Result, labels []int
 	if err != nil {
 		return err
 	}
-	path := res.Next.Path(us, vs)
+	path := parapsp.Path(g, res.D, us, vs)
 	if path == nil {
 		fmt.Printf("no path %d -> %d\n", u, v)
 		return nil

@@ -33,8 +33,9 @@ func ExampleSolve() {
 	// unreachable 3->0: true
 }
 
-// ExampleSolve_paths reconstructs a shortest path with TrackPaths.
-func ExampleSolve_paths() {
+// ExamplePath walks a shortest path back from a solved distance matrix;
+// it needs no second n×n matrix.
+func ExamplePath() {
 	g, err := parapsp.FromEdges(4, true, []parapsp.Edge{
 		{From: 0, To: 1, W: 1},
 		{From: 1, To: 2, W: 1},
@@ -43,11 +44,11 @@ func ExampleSolve_paths() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := parapsp.Solve(g, parapsp.Options{TrackPaths: true})
+	res, err := parapsp.Solve(g, parapsp.Options{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Next.Path(0, 3))
+	fmt.Println(parapsp.Path(g, res.D, 0, 3))
 	// Output:
 	// [0 1 2 3]
 }

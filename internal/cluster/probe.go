@@ -55,9 +55,7 @@ func (r *Router) Start() {
 func (r *Router) Close() {
 	r.closeOnce.Do(func() { close(r.stopProbe) })
 	r.probeWG.Wait()
-	if t, ok := r.client.Transport.(*http.Transport); ok {
-		t.CloseIdleConnections()
-	}
+	r.client.CloseIdleConnections()
 }
 
 // probeOnce probes every shard in parallel and applies the verdicts. The

@@ -26,6 +26,16 @@ var errUnavailable = errors.New("cluster: no owning shard reachable")
 // rather than truncating a real one.
 const maxFwdBody = 8 << 20
 
+// Fixed timing of the escalation mechanisms: hedgeMin and hedgeMax clamp
+// the adaptive hedge delay, and retryBackoff is the delay before
+// re-routing a failed subrequest to the next surviving owner, doubling per
+// retry.
+const (
+	hedgeMin     = 2 * time.Millisecond
+	hedgeMax     = 250 * time.Millisecond
+	retryBackoff = 5 * time.Millisecond
+)
+
 // Config tunes a Router. The zero value (plus a shard list) probes every
 // 250ms, hedges adaptively at the owner's p90 latency, allows 3 attempts
 // per subrequest, and times requests out after 30s.
@@ -37,18 +47,12 @@ type Config struct {
 	// HedgeAfter, when positive, is a fixed delay before a second request
 	// is hedged to the next owner. Zero selects the adaptive policy: the
 	// primary owner's p90 latency over its last 64 successes, clamped to
-	// [HedgeMin, HedgeMax] (25ms before any sample exists).
+	// [2ms, 250ms] (25ms before any sample exists).
 	HedgeAfter time.Duration
-	// HedgeMin/HedgeMax clamp the adaptive hedge delay (defaults 2ms and
-	// 250ms).
-	HedgeMin, HedgeMax time.Duration
 	// MaxAttempts bounds the shards tried per subrequest — the first
 	// attempt plus hedges plus retries, each to a distinct owner (default
 	// 3, never more than the healthy shard count).
 	MaxAttempts int
-	// RetryBackoff is the delay before re-routing a failed subrequest to
-	// the next surviving owner, doubling per retry (default 5ms).
-	RetryBackoff time.Duration
 	// RequestTimeout is the per-request deadline applied when the client
 	// sends none (default 30s). Requests never hang past it: expiry
 	// cancels every in-flight subrequest and answers 504.
@@ -80,23 +84,11 @@ type Config struct {
 	// Metrics receives the cluster.* counters; nil creates a private
 	// registry.
 	Metrics *obs.Metrics
-	// Client overrides the forwarding HTTP client (tests); nil builds one
-	// with a dedicated transport.
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 2 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 250 * time.Millisecond
-	}
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * time.Millisecond
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -118,11 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewMetrics()
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 32,
-		}}
 	}
 	return c
 }
@@ -229,7 +216,7 @@ func New(cfg Config) (*Router, error) {
 		m:      newRouterMetrics(cfg.Metrics),
 		lat:    make(map[string]*latencyWindow, len(cfg.Shards)),
 		vers:   make(map[string]*atomic.Uint64, len(cfg.Shards)),
-		client: cfg.Client,
+		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}},
 		adm: admit.New(admit.Config{
 			MaxInflight:     cfg.MaxInflight,
 			BestEffortShare: cfg.BestEffortShare,
@@ -365,11 +352,11 @@ func (r *Router) hedgeDelay(primary Shard) time.Duration {
 	if !ok {
 		d = 25 * time.Millisecond
 	}
-	if d < r.cfg.HedgeMin {
-		d = r.cfg.HedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
-	if d > r.cfg.HedgeMax {
-		d = r.cfg.HedgeMax
+	if d > hedgeMax {
+		d = hedgeMax
 	}
 	return d
 }
@@ -431,7 +418,7 @@ func (r *Router) forward(ctx context.Context, method, uri string, body []byte, o
 			retryTimer.Stop()
 		}
 	}()
-	backoff := r.cfg.RetryBackoff
+	backoff := retryBackoff
 	inflight := 1
 	for inflight > 0 || retryC != nil {
 		select {

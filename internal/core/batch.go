@@ -99,47 +99,6 @@ func putBatchScratch(sc *batchScratch) {
 	batchPool.Put(sc)
 }
 
-// msbfs runs one bit-parallel BFS batch: sources[i]'s distances land in
-// rows[i], which must be Inf-initialized (diagonal included — msbfs
-// writes the 0). len(sources) must be at most batchLaneWidth. Returns the
-// number of level-synchronous sweeps.
-func (sc *batchScratch) msbfs(g *graph.Graph, sources []int32, rows [][]matrix.Dist, st *Counters) int64 {
-	n := g.N()
-	visit, next, seen := sc.visit[:n], sc.next[:n], sc.seen[:n]
-	for i := range seen {
-		seen[i] = 0
-	}
-	for i, s := range sources {
-		bit := uint64(1) << uint(i)
-		visit[s] |= bit
-		seen[s] |= bit
-		rows[i][s] = 0
-	}
-	var levels int64
-	for level := matrix.Dist(1); ; level++ {
-		// One adjacency sweep advances every packed search one level.
-		// Consuming visit words as we go keeps the double buffer clean
-		// for the swap (see the scratch invariant).
-		for v := 0; v < n; v++ {
-			lanes := visit[v]
-			if lanes == 0 {
-				continue
-			}
-			visit[v] = 0
-			adj := g.Neighbors(int32(v))
-			st.EdgeScans += int64(len(adj))
-			kernel.OrLanes(next, adj, lanes)
-		}
-		if !kernel.AndnNewBits(next, seen) {
-			break // no lane discovered a new vertex: all BFS done
-		}
-		levels++
-		st.BatchScattered += kernel.ScatterLevel(next, rows, level)
-		visit, next = next, visit
-	}
-	return levels
-}
-
 // sweepSSSP runs one shared-sweep weighted batch: a level-synchronous
 // label-correcting relaxation of all len(sources) searches over a
 // lane-major distance block, one adjacency read per active vertex per
@@ -200,6 +159,47 @@ func (sc *batchScratch) sweepSSSP(g *graph.Graph, sources []int32, rows [][]matr
 	return sweeps
 }
 
+// msbfs runs one bit-parallel BFS batch: sources[i]'s distances land in
+// rows[i], which must be Inf-initialized (diagonal included — msbfs
+// writes the 0). len(sources) must be at most batchLaneWidth. Returns the
+// number of level-synchronous sweeps.
+func (sc *batchScratch) msbfs(g *graph.Graph, sources []int32, rows [][]matrix.Dist, st *Counters) int64 {
+	n := g.N()
+	visit, next, seen := sc.visit[:n], sc.next[:n], sc.seen[:n]
+	for i := range seen {
+		seen[i] = 0
+	}
+	for i, s := range sources {
+		bit := uint64(1) << uint(i)
+		visit[s] |= bit
+		seen[s] |= bit
+		rows[i][s] = 0
+	}
+	var levels int64
+	for level := matrix.Dist(1); ; level++ {
+		// One adjacency sweep advances every packed search one level.
+		// Consuming visit words as we go keeps the double buffer clean
+		// for the swap (see the scratch invariant).
+		for v := 0; v < n; v++ {
+			lanes := visit[v]
+			if lanes == 0 {
+				continue
+			}
+			visit[v] = 0
+			adj := g.Neighbors(int32(v))
+			st.EdgeScans += int64(len(adj))
+			kernel.OrLanes(next, adj, lanes)
+		}
+		if !kernel.AndnNewBits(next, seen) {
+			break // no lane discovered a new vertex: all BFS done
+		}
+		levels++
+		st.BatchScattered += kernel.ScatterLevel(next, rows, level)
+		visit, next = next, visit
+	}
+	return levels
+}
+
 // laneKernel wraps the two multi-source batch engines as lane-width
 // source kernels: "msbfs" for unweighted graphs, "sweep" for weighted
 // ones. Grain() == batchLaneWidth makes the pipeline runner hand each Run
@@ -214,8 +214,8 @@ func (k laneKernel) Name() string { return k.name }
 func (k laneKernel) Grain() int   { return batchLaneWidth }
 
 // Supports refuses what the lane engines cannot do: they are
-// single-weighting by construction, and the scalar-only mechanisms (paths,
-// the paper queue, the reuse ablation) have no lane formulation.
+// single-weighting by construction, and the scalar-only mechanisms (the
+// paper queue, the reuse ablation) have no lane formulation.
 func (k laneKernel) Supports(g *graph.Graph, opts Options) error {
 	if g.Weighted() != k.weighted {
 		want := "an unweighted"
@@ -224,8 +224,8 @@ func (k laneKernel) Supports(g *graph.Graph, opts Options) error {
 		}
 		return fmt.Errorf("%w: kernel %q needs %s graph", ErrInvalid, k.name, want)
 	}
-	if opts.TrackPaths || opts.PaperQueue || opts.DisableRowReuse {
-		return fmt.Errorf("%w: kernel %q cannot run the scalar-only options (paths/queue/reuse ablations)", ErrInvalid, k.name)
+	if opts.PaperQueue || opts.DisableRowReuse {
+		return fmt.Errorf("%w: kernel %q cannot run the scalar-only options (queue/reuse ablations)", ErrInvalid, k.name)
 	}
 	return nil
 }

@@ -56,12 +56,10 @@ type Options struct {
 	// Workers is the thread count of the parallel algorithms
 	// (ignored, treated as 1, by the sequential ones).
 	Workers int
-	// Schedule overrides the loop schedule of the parallel source loop.
-	// Default: DynamicCyclic for ParAlg2/ParAPSP (the paper's choice,
-	// Figure 1) and for ParAlg1.
-	Schedule sched.Scheme
-	// scheduleSet distinguishes an explicit Block (0) from the default.
-	// Set via WithSchedule.
+	// schedule is the loop schedule of the parallel source loop, set only
+	// through WithSchedule; scheduleSet distinguishes an explicit Block
+	// (0) from the default, the paper's DynamicCyclic (Figure 1).
+	schedule    sched.Scheme
 	scheduleSet bool
 	// Ordering overrides the ordering procedure of ParAPSP, which the
 	// Section 4 experiments vary between ParBuckets, ParMax and
@@ -69,12 +67,6 @@ type Options struct {
 	// default". It is ignored by algorithms whose ordering is fixed by
 	// definition (ParAlg1/ParAlg2 and the sequential solvers).
 	Ordering order.Procedure
-	// OrderingConfig tunes the ordering procedure; zero fields take the
-	// paper's defaults. Workers inside it is overridden by Options.Workers.
-	OrderingConfig order.Config
-	// Ratio is Algorithm 3's partial ordering ratio r for the
-	// selection-sort based algorithms. 0 means the paper's r = 1.0.
-	Ratio float64
 	// Kernel pins the SSSP source kernel by registry name ("dijkstra",
 	// "heap", "deltastar", "msbfs", "sweep" — see Kernels()); "heap" is
 	// the queue-discipline ablation, a binary min-heap in place of the
@@ -100,10 +92,6 @@ type Options struct {
 	// a distance matrix larger than this bound. The paper's experiments
 	// are memory-gated (sx-superuser needs 160 GB); this is the guard.
 	MaxMemBytes uint64
-	// TrackPaths additionally computes the next-hop successor matrix so
-	// shortest paths (not just distances) can be reconstructed. Doubles
-	// the memory footprint. Not supported by SeqAdaptive.
-	TrackPaths bool
 	// Obs, when non-nil, instruments the solve: the ordering and SSSP
 	// phases are recorded as coordinator spans and labeled for pprof,
 	// the scheduler records per-worker iteration/dispatch/idle events,
@@ -118,7 +106,7 @@ type Options struct {
 
 // WithSchedule returns o with the loop schedule set explicitly.
 func (o Options) WithSchedule(s sched.Scheme) Options {
-	o.Schedule = s
+	o.schedule = s
 	o.scheduleSet = true
 	return o
 }
@@ -127,11 +115,9 @@ func (o Options) WithSchedule(s sched.Scheme) Options {
 // Section 4 and 5 experiments report (ordering time vs Dijkstra-part time).
 type Result struct {
 	// D is the distance matrix: D.At(u,v) is the shortest-path distance
-	// from u to v, matrix.Inf if v is unreachable from u.
+	// from u to v, matrix.Inf if v is unreachable from u. Path walks a
+	// shortest path back from any of its rows.
 	D *matrix.Matrix
-	// Next is the successor matrix for path reconstruction; non-nil only
-	// when Options.TrackPaths was set.
-	Next *NextHop
 	// Order is the source order the run used (nil for SeqBasic/ParAlg1,
 	// whose order is the identity).
 	Order []int32
@@ -141,8 +127,8 @@ type Result struct {
 	// Dijkstra loop (the paper's "Dijkstra algorithm part").
 	SSSPTime time.Duration
 	// Stats aggregates the work performed (pops, folds, edge scans);
-	// collected by the default FIFO distance-only solver, zero for the
-	// paths/heap variants and SeqAdaptive.
+	// collected by the dijkstra, deltastar and lane kernels, zero for the
+	// heap kernel and SeqAdaptive.
 	Stats Counters
 	// Algorithm and Workers echo the configuration for reporting.
 	Algorithm Algorithm
@@ -181,18 +167,9 @@ func Solve(g *graph.Graph, alg Algorithm, opts Options) (*Result, error) {
 	if opts.Ordering != order.Identity && !opts.Ordering.Valid() {
 		return nil, fmt.Errorf("%w: ordering %d", ErrInvalid, int(opts.Ordering))
 	}
-	if alg == SeqAdaptive && opts.TrackPaths {
-		return nil, fmt.Errorf("%w: TrackPaths is not supported by SeqAdaptive", ErrInvalid)
-	}
 	n := g.N()
-	if opts.MaxMemBytes != 0 {
-		need := matrix.EstimateMemBytes(n)
-		if opts.TrackPaths {
-			need *= 2 // next-hop matrix is the same size again
-		}
-		if need > opts.MaxMemBytes {
-			return nil, fmt.Errorf("%w: need %d bytes for n=%d, bound %d", ErrMemory, need, n, opts.MaxMemBytes)
-		}
+	if need := matrix.EstimateMemBytes(n); opts.MaxMemBytes != 0 && need > opts.MaxMemBytes {
+		return nil, fmt.Errorf("%w: need %d bytes for n=%d, bound %d", ErrMemory, need, n, opts.MaxMemBytes)
 	}
 	workers := sched.Workers(opts.Workers)
 	if opts.Obs != nil && opts.Obs.Workers() < workers {
@@ -227,10 +204,6 @@ func Solve(g *graph.Graph, alg Algorithm, opts Options) (*Result, error) {
 	// (completed-row reuse) happen inside the kernels via the flag vector.
 	D := matrix.New(n)
 	D.InitAPSP()
-	var nh *NextHop
-	if opts.TrackPaths {
-		nh = newNextHop(n)
-	}
 	start = time.Now()
 	res.Engine = engineOf(kern)
 	res.Kernel = kern.Name()
@@ -248,14 +221,17 @@ func Solve(g *graph.Graph, alg Algorithm, opts Options) (*Result, error) {
 		}
 		rt := &Runtime{
 			G: g, Opts: opts, Workers: effWorkers, Sources: sources,
-			Dest: rowDest{m: D}, Flags: newFlags(n), Next: nh,
+			Dest: rowDest{m: D}, Flags: newFlags(n),
 			Rec: opts.Obs, Seq: p.sequential,
 		}
-		res.Stats = runPipeline(rt, kern, scheduleFor(alg, opts))
+		scheme := sched.DynamicCyclic
+		if opts.scheduleSet {
+			scheme = opts.schedule
+		}
+		res.Stats = runPipeline(rt, kern, scheme)
 	})
 	res.SSSPTime = time.Since(start)
 	res.D = D
-	res.Next = nh
 	if opts.Obs != nil {
 		res.PublishMetrics(opts.Obs.Metrics())
 	}
@@ -273,26 +249,6 @@ func runPhase(rec *obs.Recorder, alg Algorithm, phase obs.Phase, fn func()) {
 	t0 := rec.Now()
 	obs.Do(fn, "parapsp-alg", alg.String(), "parapsp-phase", phase.String())
 	rec.Coordinator().Add(obs.Event{Phase: phase, Start: t0, End: rec.Now()})
-}
-
-func ratioOrDefault(r float64) float64 {
-	if r == 0 {
-		return 1.0
-	}
-	return r
-}
-
-// scheduleFor resolves the loop schedule: an explicit WithSchedule wins,
-// otherwise the paper's dynamic-cyclic choice.
-func scheduleFor(alg Algorithm, opts Options) sched.Scheme {
-	if opts.scheduleSet {
-		return opts.Schedule
-	}
-	if opts.Schedule != sched.Block { // non-zero value set directly
-		return opts.Schedule
-	}
-	_ = alg
-	return sched.DynamicCyclic
 }
 
 // OrderingOnly runs just the ordering procedure of a configuration and

@@ -279,11 +279,11 @@ func TestPartialRatioStillExact(t *testing.T) {
 	}
 	ref := baseline.BFSAPSP(g)
 	for _, r := range []float64{0.1, 0.5, 1.0} {
-		res, err := Solve(g, SeqOptimized, Options{Ratio: r})
+		D, _, err := SSSPPhase(g, order.SelectionSort(g.Degrees(), r), 1, sched.DynamicCyclic, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.D.Equal(ref) {
+		if !D.Equal(ref) {
 			t.Errorf("ratio %v produced a wrong solution", r)
 		}
 	}
@@ -429,13 +429,8 @@ func TestHeapQueueScaleFreeAndSequential(t *testing.T) {
 
 func TestHeapQueueInvalidCombos(t *testing.T) {
 	g, _ := graph.FromPairs(2, true, [][2]int32{{0, 1}})
-	for _, opts := range []Options{
-		{Kernel: KernelHeap, TrackPaths: true},
-		{Kernel: KernelHeap, PaperQueue: true},
-	} {
-		if _, err := Solve(g, ParAPSP, opts); !errors.Is(err, ErrInvalid) {
-			t.Errorf("combo %+v accepted: %v", opts, err)
-		}
+	if _, err := Solve(g, ParAPSP, Options{Kernel: KernelHeap, PaperQueue: true}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("heap + PaperQueue accepted: %v", err)
 	}
 	if _, err := Solve(g, SeqAdaptive, Options{Kernel: KernelHeap}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("SeqAdaptive heap accepted: %v", err)

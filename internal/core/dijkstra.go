@@ -359,9 +359,8 @@ func adaptiveDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 
 // dijkstraKernel registers the paper's modified Dijkstra (Algorithm 1) as
 // the default source kernel. It is the only kernel supporting every option
-// combination: TrackPaths routes to the next-hop variant, PaperQueue to
-// the pseudocode-verbatim queue discipline, DisableRowReuse simply skips
-// the folds.
+// combination: PaperQueue selects the pseudocode-verbatim queue
+// discipline, DisableRowReuse simply skips the folds.
 type dijkstraKernel struct{}
 
 func (dijkstraKernel) Name() string                                { return KernelDijkstra }
@@ -394,12 +393,7 @@ func (r *dijkstraRun) Run(w, lo, hi int) {
 		}
 	}
 	for i := lo; i < hi; i++ {
-		s := rt.Sources[i]
-		if rt.Next != nil {
-			modifiedDijkstraPaths(rt.G, s, rt.Dest, rt.Next, rt.Flags, sc, rt.Opts)
-		} else {
-			modifiedDijkstra(rt.G, s, rt.Dest, rt.Flags, sc, rt.Opts)
-		}
+		modifiedDijkstra(rt.G, rt.Sources[i], rt.Dest, rt.Flags, sc, rt.Opts)
 	}
 }
 

@@ -150,17 +150,14 @@ func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *h
 }
 
 // heapKernel exposes the heap formulation as the "heap" kernel — the
-// queue-discipline ablation. Path tracking and the paper-verbatim queue
-// are FIFO-solver mechanisms and are rejected.
+// queue-discipline ablation. The paper-verbatim queue is a FIFO-solver
+// mechanism and is rejected.
 type heapKernel struct{}
 
 func (heapKernel) Name() string { return KernelHeap }
 func (heapKernel) Grain() int   { return 1 }
 
 func (heapKernel) Supports(g *graph.Graph, opts Options) error {
-	if opts.TrackPaths {
-		return fmt.Errorf("%w: kernel %q does not track paths", ErrInvalid, KernelHeap)
-	}
 	if opts.PaperQueue {
 		return fmt.Errorf("%w: kernel %q has no paper-queue variant", ErrInvalid, KernelHeap)
 	}

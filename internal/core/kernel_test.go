@@ -136,9 +136,7 @@ func TestKernelOptionValidation(t *testing.T) {
 		{"unknown kernel", ParAPSP, Options{Kernel: "nope"}},
 		{"adaptive cannot swap kernels", SeqAdaptive, Options{Kernel: KernelDeltaStar}},
 		{"msbfs needs unweighted", ParAPSP, Options{Kernel: KernelMSBFS}},
-		{"deltastar cannot track paths", ParAPSP, Options{Kernel: KernelDeltaStar, TrackPaths: true}},
 		{"sweep cannot disable reuse", ParAPSP, Options{Kernel: KernelSweep, DisableRowReuse: true}},
-		{"heap cannot track paths", ParAPSP, Options{Kernel: KernelHeap, TrackPaths: true}},
 		{"deltastar has no paper queue", ParAPSP, Options{Kernel: KernelDeltaStar, PaperQueue: true}},
 	}
 	for _, tc := range cases {
@@ -259,7 +257,6 @@ func TestKernelDispatchTable(t *testing.T) {
 	}{
 		{"explicit kernel", plw, ParAPSP, Options{Kernel: KernelDeltaStar}, 16, KernelDeltaStar},
 		{"explicit dijkstra, full solve", plw, ParAPSP, Options{Kernel: KernelDijkstra}, n, KernelDijkstra},
-		{"track paths", plw, ParAPSP, Options{TrackPaths: true}, 16, KernelDijkstra},
 		{"paper queue", plw, ParAPSP, Options{PaperQueue: true}, 16, KernelDijkstra},
 		{"reuse disabled", plw, ParAPSP, Options{DisableRowReuse: true}, 16, KernelDijkstra},
 		{"sequential preset", plw, SeqOptimized, Options{}, n, KernelDijkstra},

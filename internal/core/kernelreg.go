@@ -24,9 +24,8 @@ import (
 // paper's two reference points:
 //
 //	dijkstra  - the paper's FIFO label-correcting modified Dijkstra
-//	            (Algorithm 1), including its PaperQueue and TrackPaths
-//	            variants (dijkstra.go, paths.go); the differential
-//	            reference
+//	            (Algorithm 1), including its PaperQueue variant
+//	            (dijkstra.go); the differential reference
 //	heap      - classic Dijkstra with lazy deletion, the queue-discipline
 //	            ablation (heap.go)
 //	deltastar - lazy-batched Δ*-stepping with a light/heavy edge split and
@@ -37,7 +36,10 @@ import (
 //	            graphs only (batch.go)
 //
 // Every kernel computes the exact same distances; the differential battery
-// in kernel_test.go pins that across the registry at 1/2/8 workers.
+// in kernel_test.go pins that across the registry at 1/2/8 workers. Every
+// kernel's rows therefore also yield the same shortest paths: Path
+// (paths.go) walks them back over the reverse graph, so no kernel tracks
+// paths itself.
 
 // Kernel name constants. The lane kernels reuse the engine names so
 // Result.Engine / SubsetResult.Engine keep their published values.
@@ -103,8 +105,6 @@ type Runtime struct {
 	Dest rowDest
 	// Flags is the shared row-completion vector of the fold stage.
 	Flags *flags
-	// Next is the successor matrix, non-nil only under TrackPaths.
-	Next *NextHop
 	// Rec instruments the solve when non-nil.
 	Rec *obs.Recorder
 	// Seq marks the sequential presets: their scalar iterations run on
@@ -224,7 +224,7 @@ const (
 // graphs, DESIGN.md §9):
 //
 //  1. An explicit kernel: that kernel, if its Supports accepts.
-//  2. TrackPaths, PaperQueue, DisableRowReuse, a sequential preset, or
+//  2. PaperQueue, DisableRowReuse, a sequential preset, or
 //     k < batchMinSources: dijkstra. The options and presets are the
 //     paper's FIFO mechanism by definition; below 8 sources neither lanes
 //     nor buckets pay for themselves (k=1: 0.31 ms/row against sweep 0.35
@@ -260,7 +260,7 @@ func resolveKernel(alg Algorithm, g *graph.Graph, opts Options, k int) (SourceKe
 	n := g.N()
 	name := KernelDijkstra
 	switch {
-	case opts.TrackPaths || opts.PaperQueue || opts.DisableRowReuse || alg < ParAlg1 || k < batchMinSources:
+	case opts.PaperQueue || opts.DisableRowReuse || alg < ParAlg1 || k < batchMinSources:
 		// row 2 keeps dijkstra
 	case !g.Weighted():
 		if n >= batchMinVertices {

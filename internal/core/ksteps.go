@@ -112,12 +112,9 @@ type deltaStarKernel struct{}
 func (deltaStarKernel) Name() string { return KernelDeltaStar }
 func (deltaStarKernel) Grain() int   { return 1 }
 
-// Supports rejects the FIFO solver's mechanisms: the kernel is
-// distance-only and has no paper-queue variant.
+// Supports rejects the FIFO solver's paper-verbatim queue, which the
+// kernel has no variant of.
 func (deltaStarKernel) Supports(g *graph.Graph, opts Options) error {
-	if opts.TrackPaths {
-		return fmt.Errorf("%w: kernel %q does not track paths", ErrInvalid, KernelDeltaStar)
-	}
 	if opts.PaperQueue {
 		return fmt.Errorf("%w: kernel %q has no paper-queue variant", ErrInvalid, KernelDeltaStar)
 	}

@@ -1,197 +1,52 @@
 package core
 
 import (
-	"fmt"
-
 	"parapsp/internal/graph"
 	"parapsp/internal/matrix"
 )
 
-// NextHop is the successor matrix of an APSP solution: At(s, v) is the
-// first vertex after s on some shortest path from s to v, or -1 when
-// v == s or v is unreachable from s. Together with the distance matrix it
-// reconstructs any shortest path in O(path length).
+// Path rebuilds a shortest path s -> v from s's distance row alone,
+// walking backwards from v: a vertex w precedes t on some shortest path
+// iff there is an arc w->t with row[w] + weight(w,t) == row[t]. The
+// incoming arcs of t are the outgoing arcs of t in rev, the reverse graph
+// (rev aliases g for undirected graphs). It returns the vertices from s
+// to v inclusive, [s] when v == s, and nil when v is unreachable. Cost is
+// O(path length * max in-degree), with no memory beyond the row.
 //
-// The paper computes distances only; path tracking is the natural library
-// extension and costs one extra int32 per pair (doubling memory), which is
-// why it is opt-in (Options.TrackPaths).
-type NextHop struct {
-	n    int
-	data []int32
-}
-
-func newNextHop(n int) *NextHop {
-	nh := &NextHop{n: n, data: make([]int32, n*n)}
-	for i := range nh.data {
-		nh.data[i] = -1
-	}
-	return nh
-}
-
-// N returns the matrix dimension.
-func (nh *NextHop) N() int { return nh.n }
-
-// At returns the first hop from s toward v (-1 if none).
-func (nh *NextHop) At(s, v int) int32 { return nh.data[s*nh.n+v] }
-
-func (nh *NextHop) row(s int32) []int32 {
-	return nh.data[int(s)*nh.n : (int(s)+1)*nh.n : (int(s)+1)*nh.n]
-}
-
-// Path reconstructs the vertex sequence of a shortest path from s to v,
-// inclusive of both endpoints. It returns nil if v is unreachable from s,
-// and [s] if s == v. The walk is validated against n steps so a corrupted
-// matrix cannot loop forever.
-func (nh *NextHop) Path(s, v int32) []int32 {
-	if s == v {
-		return []int32{s}
-	}
-	if nh.At(int(s), int(v)) < 0 {
+// Path is the only path builder: the result depends only on the graph
+// and the exact distances, never on the algorithm, kernel or worker count
+// that produced the row, so the serving layer and the library return the
+// same sequence for the same pair.
+func Path(rev *graph.Graph, row []matrix.Dist, s, v int32) []int32 {
+	if row[v] == matrix.Inf {
 		return nil
 	}
-	path := make([]int32, 0, 8)
-	path = append(path, s)
-	u := s
-	for steps := 0; u != v; steps++ {
-		if steps > nh.n {
-			panic("core: next-hop matrix contains a cycle")
+	// Collected in reverse (v first), then flipped.
+	path := []int32{v}
+	cur := v
+	for cur != s {
+		adj, wts := rev.NeighborsW(cur)
+		prev := int32(-1)
+		for i, w := range adj {
+			wt := matrix.Dist(1)
+			if wts != nil {
+				wt = wts[i]
+			}
+			if row[w] != matrix.Inf && matrix.AddSat(row[w], wt) == row[cur] {
+				prev = w
+				break
+			}
 		}
-		u = nh.At(int(u), int(v))
-		if u < 0 {
-			panic("core: next-hop matrix truncated mid-path")
+		if prev < 0 || len(path) > len(row) {
+			// A finite distance always has a predecessor on a shortest
+			// path; this guard only trips on a corrupted row.
+			return nil
 		}
-		path = append(path, u)
+		path = append(path, prev)
+		cur = prev
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
 	}
 	return path
-}
-
-// Verify checks a reconstructed path against the graph and distance
-// matrix: consecutive vertices must be adjacent and edge weights must sum
-// to the claimed distance. Tests and examples use it; it returns nil when
-// the path is a genuine shortest path.
-func (nh *NextHop) Verify(g *graph.Graph, D *matrix.Matrix, s, v int32) error {
-	path := nh.Path(s, v)
-	want := D.At(int(s), int(v))
-	if path == nil {
-		if want != matrix.Inf {
-			return fmt.Errorf("core: no path %d->%d but distance %d", s, v, want)
-		}
-		return nil
-	}
-	var sum matrix.Dist
-	for i := 1; i < len(path); i++ {
-		u, x := path[i-1], path[i]
-		adj, wts := g.NeighborsW(u)
-		best := matrix.Inf
-		for j, t := range adj {
-			if t == x {
-				w := matrix.Dist(1)
-				if wts != nil {
-					w = wts[j]
-				}
-				if w < best {
-					best = w
-				}
-			}
-		}
-		if best == matrix.Inf {
-			return fmt.Errorf("core: path step %d->%d is not an edge", u, x)
-		}
-		sum = matrix.AddSat(sum, best)
-	}
-	if sum != want {
-		return fmt.Errorf("core: path %d->%d sums to %d, distance matrix says %d", s, v, sum, want)
-	}
-	return nil
-}
-
-// modifiedDijkstraPaths is modifiedDijkstra with next-hop tracking. It is
-// a separate function (rather than a branch in the hot loop) so the
-// distance-only solver keeps its tight inner loop; the tests assert both
-// produce identical distances.
-//
-// Invariant maintained: whenever row[v] holds a (tentative) distance d,
-// next[v] holds the first hop of an s->v path of length d. On the edge
-// relaxation D[s,v] <- D[s,t]+L(t,v) the first hop toward v is the first
-// hop toward t (or v itself when t == s); on the row combine
-// D[s,v] <- D[s,t]+D[t,v] it is likewise the first hop toward t, which the
-// triangle inequality shows lies on a shortest s->v path once all rows
-// converge.
-func modifiedDijkstraPaths(g *graph.Graph, s int32, dest rowDest, nh *NextHop, f *flags, sc *scratch, opts Options) {
-	row := dest.row(s)
-	next := nh.row(s)
-	row[s] = 0
-
-	dedup := !opts.PaperQueue
-	reuse := !opts.DisableRowReuse
-
-	q := sc.queue[:0]
-	q = append(q, s)
-	if dedup {
-		sc.inQueue[s] = true
-	}
-	head := 0
-	for head < len(q) {
-		t := q[head]
-		head++
-		if head > queueCompactMin && head*2 >= len(q) {
-			q = q[:copy(q, q[head:])]
-			head = 0
-		}
-		if dedup {
-			sc.inQueue[t] = false
-		}
-		dt := row[t]
-
-		if reuse && t != s && f.done(t) {
-			// The per-entry next-hop write keeps this loop scalar (the
-			// fold kernels update distances only), but the finite-span
-			// summary still narrows the sweep to the published row's
-			// non-Inf region.
-			rt := dest.row(t)
-			lo, hi := 0, len(rt)
-			if sum, ok := dest.summary(t); ok {
-				if sum.Finite <= 1 {
-					continue // only the diagonal: dt+0 cannot improve row[t]
-				}
-				lo, hi = int(sum.Lo), int(sum.Hi)
-			}
-			hopToT := next[t]
-			for v := lo; v < hi; v++ {
-				dtv := rt[v]
-				if dtv == matrix.Inf {
-					continue
-				}
-				if nd := matrix.AddSat(dt, dtv); nd < row[v] {
-					row[v] = nd
-					next[v] = hopToT
-				}
-			}
-			continue
-		}
-
-		adj, w := g.NeighborsW(t)
-		for i, v := range adj {
-			wt := matrix.Dist(1)
-			if w != nil {
-				wt = w[i]
-			}
-			if nd := matrix.AddSat(dt, wt); nd < row[v] {
-				row[v] = nd
-				if t == s {
-					next[v] = v
-				} else {
-					next[v] = next[t]
-				}
-				if !dedup {
-					q = append(q, v)
-				} else if !sc.inQueue[v] {
-					sc.inQueue[v] = true
-					q = append(q, v)
-				}
-			}
-		}
-	}
-	sc.queue = q[:0]
-	dest.publish(f, s)
 }

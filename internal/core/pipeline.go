@@ -71,9 +71,10 @@ func Algorithms() []Algorithm {
 }
 
 // selectionOrdering is the sequential O(n^2) selection sort of
-// Algorithms 3 and 4 (stage one of SeqOptimized/ParAlg2).
+// Algorithms 3 and 4 (stage one of SeqOptimized/ParAlg2), run like every
+// ordering stage through order.Run at the paper's defaults (r = 1.0).
 func selectionOrdering(g *graph.Graph, workers int, opts Options) ([]int32, error) {
-	return order.SelectionSort(g.Degrees(), ratioOrDefault(opts.Ratio)), nil
+	return order.Run(order.Selection, g.Degrees(), order.Config{Workers: workers})
 }
 
 // multiListsOrdering is ParAPSP's stage one: the MultiLists parallel
@@ -83,9 +84,7 @@ func multiListsOrdering(g *graph.Graph, workers int, opts Options) ([]int32, err
 	if proc == order.Identity {
 		proc = order.MultiListsProc
 	}
-	cfg := opts.OrderingConfig
-	cfg.Workers = workers
-	return order.Run(proc, g.Degrees(), cfg)
+	return order.Run(proc, g.Degrees(), order.Config{Workers: workers})
 }
 
 // identitySources materializes the identity order; kernels always see an

@@ -468,3 +468,94 @@ findPair:
 		t.Fatalf("healthz %+v err=%v, want graph_version 3", hb, err)
 	}
 }
+
+// TestMutateConcurrentWriters pins that ApplyEdge needs no lock of its
+// own: dyn.Store.Mutate holds its mutex across the reconcile and the
+// publish, so eight writers reweighting distinct edges at once, beside two
+// readers, publish eight distinct consecutive versions, and the final rows
+// equal Dijkstra on the graph with every reweight applied.
+func TestMutateConcurrentWriters(t *testing.T) {
+	g := testGraph(t, 200, 31)
+	s := newTestServer(t, g, Config{Workers: 2, CacheBytes: rowsBudget(g, 16), Landmarks: -1})
+	ctx := context.Background()
+	for u := int32(0); u < 32; u++ { // resident rows, so every write reconciles
+		if _, _, err := dist(ctx, s, u, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ops []dyn.EdgeOp
+	taken := map[[2]int32]bool{}
+	for u := int32(0); len(ops) < 8; u++ {
+		for _, v := range g.Neighbors(u) {
+			if key := [2]int32{min(u, v), max(u, v)}; !taken[key] {
+				taken[key] = true
+				ops = append(ops, dyn.EdgeOp{Op: dyn.OpReweight, U: u, V: v, W: matrix.Dist(2 + len(ops))})
+				break
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := int32(0); r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := int32(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := dist(ctx, s, (7*i+r)%32, i%int32(g.N()), 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	versions := make(chan uint64, len(ops))
+	for _, op := range ops {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			res, err := s.ApplyEdge(op)
+			if err != nil {
+				t.Errorf("ApplyEdge(%v): %v", op, err)
+				return
+			}
+			versions <- res.Version
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	close(versions)
+	seen := map[uint64]bool{}
+	for v := range versions {
+		seen[v] = true
+	}
+	for v := uint64(2); v <= uint64(1+len(ops)); v++ {
+		if !seen[v] {
+			t.Fatalf("versions %v: %d was never published", seen, v)
+		}
+	}
+
+	final := g
+	for _, op := range ops {
+		final = applyReplica(t, final, op)
+	}
+	row := make([]matrix.Dist, g.N())
+	for u := int32(0); u < 32; u++ {
+		baseline.DijkstraSSSP(final, u, row)
+		for v := int32(0); v < int32(g.N()); v += 11 {
+			ans, _, err := dist(ctx, s, u, v, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := distToJSON(row[v]); ans.Dist != want {
+				t.Fatalf("after the writes: dist(%d,%d) = %d, want %d", u, v, ans.Dist, want)
+			}
+		}
+	}
+}

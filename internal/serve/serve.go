@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"parapsp/internal/admit"
@@ -238,8 +237,6 @@ type Server struct {
 	// backpressure, drain state, and the admit.* ledger, publishing into
 	// the same registry as the serve.* counters.
 	adm *admit.Admitter
-
-	dynMu sync.Mutex // serializes ApplyEdge's reconcile+publish sequence
 
 	httpSrv *httpServerRef
 }
@@ -603,9 +600,10 @@ func (s *Server) load(ctx context.Context, pin *dyn.Snapshot, srcs []int32, tier
 // PathPinned answers an exact shortest-path query: the vertices from u to
 // v inclusive, or nil when v is unreachable, with the distance answer,
 // the solver kind that resolved u's row, and the pinned graph version.
-// The path is reconstructed from u's distance row by walking predecessors
-// over the reverse adjacency of the same snapshot, so it needs no O(n^2)
-// next-hop matrix.
+// The path is core.Path over u's distance row and the reverse adjacency
+// of the same snapshot, the walk the library uses too, so it needs no
+// O(n^2) next-hop matrix and matches a library solve of that version
+// vertex for vertex.
 func (s *Server) PathPinned(ctx context.Context, u, v int32) (_ []int32, _ Answer, _ string, _ uint64, err error) {
 	if err := s.checkVertex(u); err != nil {
 		return nil, Answer{}, "", 0, err
@@ -628,7 +626,7 @@ func (s *Server) PathPinned(ctx context.Context, u, v int32) (_ []int32, _ Answe
 	row := rows[0]
 	ans := exactAnswer(Query{U: u, V: v}, row[v])
 	s.m.exact.Add(1)
-	path := reconstructPath(pin.TR, row, u, v)
+	path := core.Path(pin.TR, row, u, v)
 	return path, ans, kind, pin.Version, nil
 }
 
@@ -665,7 +663,8 @@ type ApplyResult struct {
 // against their pinned snapshots, and the row store is reconciled —
 // unaffected rows re-tagged, improvable rows repaired, stale rows dropped
 // — before the new version becomes visible, so the first query at the new
-// version already finds warm, exact rows. Mutations are serialized.
+// version already finds warm, exact rows. Mutations are serialized by
+// dyn.Store.Mutate, whose lock spans the reconcile and the publish.
 // Conflicts (inserting an existing edge, deleting or reweighting a missing
 // one) fail with dyn.ErrEdgeExists / dyn.ErrNoEdge.
 func (s *Server) ApplyEdge(op dyn.EdgeOp) (ApplyResult, error) {
@@ -677,8 +676,6 @@ func (s *Server) ApplyEdge(op dyn.EdgeOp) (ApplyResult, error) {
 		return ApplyResult{}, err
 	}
 	defer done()
-	s.dynMu.Lock()
-	defer s.dynMu.Unlock()
 
 	var st store.RecStats
 	next, ch, err := s.store.Mutate(op, func(old, next *dyn.Snapshot, ch dyn.Change) {

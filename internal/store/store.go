@@ -324,25 +324,8 @@ func (s *Store) put(key Key, row []matrix.Dist) {
 	if s.closed {
 		return
 	}
-	if old, ok := s.index[key]; ok {
-		s.removeLocked(old)
-	}
-	e := &entry{key: key, buf: buf}
-	if s.cfg.WarmBytes > 0 {
-		e.state = stateWarm
-		s.index[key] = e
-		e.elem = s.warmLRU.PushFront(e)
-		s.warm += int64(len(buf))
-		s.evictWarmLocked()
-		return
-	}
-	// No warm tier: spill directly (or drop when spill is off too).
-	if s.arena == nil {
-		return
-	}
-	e.state = stateSpilling
-	s.index[key] = e
-	s.enqueueSpillLocked(e)
+	s.placeLocked(key, buf)
+	s.evictWarmLocked()
 }
 
 // get removes and decodes the warm or cold frame for key, returning a
@@ -498,7 +481,7 @@ func (s *Store) reconcileFrames(oldVer, newVer uint64, judge func([]matrix.Dist)
 		case Repair:
 			st.RepairedLabels += repair(row)
 			s.removeLocked(e)
-			s.putWarmLocked(Key{Src: k.Src, Ver: newVer}, row)
+			s.placeLocked(Key{Src: k.Src, Ver: newVer}, s.encode(k.Src, row))
 			st.Repaired++
 		default:
 			s.removeLocked(e)
@@ -508,14 +491,15 @@ func (s *Store) reconcileFrames(oldVer, newVer uint64, judge func([]matrix.Dist)
 	s.evictWarmLocked()
 }
 
-// putWarmLocked encodes and inserts a row under the store mutex (the
-// Reconcile repair path). Falls back to the spill queue when the warm
-// tier is disabled.
-func (s *Store) putWarmLocked(key Key, row []matrix.Dist) {
+// placeLocked is the store's one placement rule for a new frame, used by
+// T1's demotion (put) and Reconcile's repair path: it replaces any frame
+// under key, then admits buf to the warm tier when that tier is enabled,
+// else to the spill queue when the arena is open, else drops it. The
+// caller holds mu and trims the warm tier afterwards.
+func (s *Store) placeLocked(key Key, buf []byte) {
 	if old, ok := s.index[key]; ok {
 		s.removeLocked(old)
 	}
-	buf := s.encode(key.Src, row)
 	e := &entry{key: key, buf: buf}
 	if s.cfg.WarmBytes > 0 {
 		e.state = stateWarm

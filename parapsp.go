@@ -58,9 +58,6 @@ type (
 	Matrix = matrix.Matrix
 	// Result carries the distance matrix plus phase timings.
 	Result = core.Result
-	// NextHop is the successor matrix for shortest-path reconstruction
-	// (Result.Next when Options.TrackPaths is set).
-	NextHop = core.NextHop
 	// Algorithm selects an APSP solver (AlgSeqBasic ... AlgParAPSP).
 	Algorithm = core.Algorithm
 	// OrderingProcedure selects a source-ordering procedure.
@@ -111,12 +108,9 @@ type Options struct {
 	// MultiLists). Ignored by algorithms whose ordering is fixed.
 	Ordering OrderingProcedure
 	// MaxMemBytes, when non-zero, refuses runs whose n*n distance matrix
-	// would exceed the bound instead of exhausting memory.
+	// would exceed the bound instead of exhausting memory. Shortest paths
+	// cost nothing beyond it: Path walks them back from the matrix.
 	MaxMemBytes uint64
-	// TrackPaths additionally computes the next-hop matrix so shortest
-	// paths can be reconstructed with Result.Next.Path(s, v). Doubles
-	// the memory footprint.
-	TrackPaths bool
 }
 
 // Solve computes exact all-pairs shortest paths on g.
@@ -130,12 +124,24 @@ func Solve(g *Graph, opts Options) (*Result, error) {
 		Workers:     opts.Workers,
 		Ordering:    opts.Ordering,
 		MaxMemBytes: opts.MaxMemBytes,
-		TrackPaths:  opts.TrackPaths,
 	}
 	return core.Solve(g, alg, copts)
 }
 
-// SolveWith exposes the full low-level configuration (schedules, ratios,
+// Path returns the vertices of a shortest path from s to v in g, both
+// endpoints included, walked back from row s of D, a solved distance
+// matrix of g (core.Path): [s] when v == s, nil when v is unreachable.
+// It needs no second n×n matrix; on a directed graph each call builds the
+// reverse graph, O(n+m).
+func Path(g *Graph, D *Matrix, s, v int32) []int32 {
+	rev := g
+	if !g.Undirected() {
+		rev = g.Transpose()
+	}
+	return core.Path(rev, D.Row(int(s)), s, v)
+}
+
+// SolveWith exposes the full low-level configuration (schedules, kernels,
 // ablation switches) for benchmark-grade control; see core.Options.
 func SolveWith(g *Graph, alg Algorithm, opts core.Options) (*Result, error) {
 	return core.Solve(g, alg, opts)

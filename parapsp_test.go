@@ -3,6 +3,7 @@ package parapsp
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -225,27 +226,46 @@ func TestSolveWithLowLevel(t *testing.T) {
 	}
 }
 
-func TestTrackPathsViaFacade(t *testing.T) {
+func TestPathViaFacade(t *testing.T) {
 	g, err := GenerateBarabasiAlbert(150, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(g, Options{Workers: 2, TrackPaths: true})
+	res, err := Solve(g, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Next == nil {
-		t.Fatal("TrackPaths did not populate Next")
-	}
-	p := res.Next.Path(0, 149)
+	p := Path(g, res.D, 0, 149)
 	if len(p) == 0 || p[0] != 0 || p[len(p)-1] != 149 {
 		t.Fatalf("path = %v", p)
 	}
 	if Dist(len(p)-1) != res.D.At(0, 149) {
 		t.Errorf("path length %d != distance %d", len(p)-1, res.D.At(0, 149))
 	}
-	if err := res.Next.Verify(g, res.D, 0, 149); err != nil {
-		t.Error(err)
+	for i := 1; i < len(p); i++ {
+		if _, ok := g.ArcWeight(p[i-1], p[i]); !ok {
+			t.Errorf("path step %d->%d is not an edge", p[i-1], p[i])
+		}
+	}
+
+	// A directed graph walks back over its transpose: the only route to 3
+	// is the chain, never the reversed arc 3->0.
+	dg, err := FromEdges(4, false, []Edge{{From: 0, To: 1, W: 2}, {From: 1, To: 3, W: 2}, {From: 3, To: 0, W: 1}, {From: 0, To: 2, W: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dres, err := Solve(dg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Path(dg, dres.D, 0, 3); fmt.Sprint(got) != "[0 1 3]" {
+		t.Errorf("directed path 0->3 = %v, want [0 1 3]", got)
+	}
+	if got := Path(dg, dres.D, 3, 2); fmt.Sprint(got) != "[3 0 2]" {
+		t.Errorf("directed path 3->2 = %v, want [3 0 2]", got)
+	}
+	if got := Path(dg, dres.D, 2, 0); got != nil {
+		t.Errorf("unreachable directed path 2->0 = %v", got)
 	}
 }
 

@@ -4,7 +4,9 @@
 # seeded fuzz corpora as regression cases and the cmd end-to-end smokes,
 # the trace/metrics exporters included), a race-enabled pass over the
 # concurrent machinery, the kernel and frame-codec microbenchmark smokes,
-# a bounded fuzz of the store's frame decoder against its reference, the
+# the race-enabled kernel differential suite together with the path
+# suite (every preset and kernel walks the same shortest paths), a
+# bounded fuzz of the store's frame decoder against its reference, the
 # performance gate (scripts/gate: the tiered store's memory-wall
 # contracts and the kernel race, held against scripts/gate_baseline.json),
 # and the benchmark module's own vet and smoke test. Run from anywhere
@@ -41,8 +43,8 @@ echo "== store frame codec: 10 s fuzz of the decoder vs its reference + shared-d
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/store/
 go test -race -count=10 -run '^TestStoreConcurrent' ./internal/store/
 
-echo "== kernel differential suite (registry battery + batch engines vs scalar, race-enabled)"
-go test -race -run 'TestBatch|TestKernel' -count=1 ./internal/core/
+echo "== kernel differential suite (registry battery + batch engines vs scalar) + path suite (race-enabled)"
+go test -race -run 'TestBatch|TestKernel|TestPath' -count=1 ./internal/core/
 
 echo "== cluster chaos e2e + shard-config fuzz corpus (race-enabled)"
 go test -race -run 'TestClusterChaos|TestRouter|TestDifferentialPartitioning|FuzzParseShardConfig' \
