@@ -14,6 +14,13 @@
 //	curl -d '{"op":"insert","u":3,"v":17,"w":2}' localhost:8080/edge
 //	curl 'localhost:8080/metrics'
 //
+// Vertex ids: u and v in every query, and the vertices of a /path answer,
+// are dense ids 0..n-1, numbered in first-seen order of the edge list
+// (Matrix Market and METIS files: the file's 1-based index minus one),
+// not the file's labels. `apsp -path`, by contrast, takes file labels.
+// When the two differ, the daemon prints one start-up line naming the
+// mapping, e.g. "file label 17 is id 430".
+//
 // The graph is mutable while serving: POST /edge applies one edge
 // insert/delete/reweight and publishes a new immutable snapshot without
 // blocking readers; every response carries the answering snapshot's
@@ -42,6 +49,7 @@ import (
 func main() {
 	var lf gio.LoadFlags
 	lf.Register(flag.CommandLine, "graph")
+	flag.Lookup("graph").Usage = "input graph file (edge lists may be .gz); queries name its vertices by dense id 0..n-1 in first-seen edge-list order, not by file label"
 	var (
 		genN         = flag.Int("gen", 0, "instead of -graph: serve a synthetic Barabasi-Albert graph with this many vertices")
 		addr         = flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
@@ -72,6 +80,7 @@ func main() {
 
 	start := time.Now()
 	var g *graph.Graph
+	var labels []int64
 	var err error
 	if *genN > 0 {
 		g, err = gen.BarabasiAlbert(*genN, 4, *seed, gen.Weighting{})
@@ -79,13 +88,20 @@ func main() {
 		var loaded *gio.Result
 		loaded, err = lf.Load()
 		if loaded != nil {
-			g = loaded.Graph
+			g, labels = loaded.Graph, loaded.Labels
 		}
 	}
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("parapspd: loaded %v in %s\n", g, time.Since(start).Round(time.Millisecond))
+	for id, label := range labels {
+		if label != int64(id) {
+			fmt.Printf("parapspd: queries take dense ids 0..%d in first-seen order, not file labels: file label %d is id %d\n",
+				len(labels)-1, label, id)
+			break
+		}
+	}
 
 	start = time.Now()
 	s, err := serve.New(g, serve.Config{

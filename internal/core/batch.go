@@ -102,9 +102,9 @@ func putBatchScratch(sc *batchScratch) {
 // sweepSSSP runs one shared-sweep weighted batch: a level-synchronous
 // label-correcting relaxation of all len(sources) searches over a
 // lane-major distance block, one adjacency read per active vertex per
-// sweep regardless of how many lanes are active on it. rows[i] must be
-// Inf-initialized; distances are transposed into rows on convergence.
-// Returns the number of sweeps.
+// sweep regardless of how many lanes are active on it. Distances are
+// transposed into rows on convergence, every entry overwritten. Returns
+// the number of sweeps.
 func (sc *batchScratch) sweepSSSP(g *graph.Graph, sources []int32, rows [][]matrix.Dist, st *Counters) int64 {
 	n := g.N()
 	b := len(sources)
@@ -112,9 +112,7 @@ func (sc *batchScratch) sweepSSSP(g *graph.Graph, sources []int32, rows [][]matr
 		sc.dist = make([]matrix.Dist, n*b)
 	}
 	dist := sc.dist[:n*b]
-	for i := range dist {
-		dist[i] = matrix.Inf
-	}
+	matrix.FillDist(dist, matrix.Inf)
 	active, nextAct := sc.visit[:n], sc.next[:n]
 	for i, s := range sources {
 		dist[int(s)*b+i] = 0
@@ -160,9 +158,9 @@ func (sc *batchScratch) sweepSSSP(g *graph.Graph, sources []int32, rows [][]matr
 }
 
 // msbfs runs one bit-parallel BFS batch: sources[i]'s distances land in
-// rows[i], which must be Inf-initialized (diagonal included — msbfs
-// writes the 0). len(sources) must be at most batchLaneWidth. Returns the
-// number of level-synchronous sweeps.
+// rows[i], which must be Inf with a zero diagonal (rowDest.begin).
+// len(sources) must be at most batchLaneWidth. Returns the number of
+// level-synchronous sweeps.
 func (sc *batchScratch) msbfs(g *graph.Graph, sources []int32, rows [][]matrix.Dist, st *Counters) int64 {
 	n := g.N()
 	visit, next, seen := sc.visit[:n], sc.next[:n], sc.seen[:n]
@@ -173,7 +171,6 @@ func (sc *batchScratch) msbfs(g *graph.Graph, sources []int32, rows [][]matrix.D
 		bit := uint64(1) << uint(i)
 		visit[s] |= bit
 		seen[s] |= bit
-		rows[i][s] = 0
 	}
 	var levels int64
 	for level := matrix.Dist(1); ; level++ {
@@ -258,7 +255,7 @@ func (r *laneRun) Run(w, lo, hi int) {
 	}
 	rows := sc.rows[:0]
 	for i := lo; i < hi; i++ {
-		rows = append(rows, rt.Dest.row(rt.Sources[i]))
+		rows = append(rows, rt.Dest.begin(rt.Sources[i]))
 	}
 	sc.rows = rows
 	st := &r.counters[w]
@@ -281,7 +278,7 @@ func (r *laneRun) Run(w, lo, hi int) {
 			Start: t0, End: rec.Now(), Index: int64(lo / batchLaneWidth), Arg: sweeps})
 	}
 	for i := lo; i < hi; i++ {
-		rt.Dest.publish(rt.Flags, rt.Sources[i])
+		rt.Flags.set(rt.Sources[i])
 	}
 }
 

@@ -224,8 +224,7 @@ func TestBatchForceRespectsLegality(t *testing.T) {
 func TestBatchScratchDropsRows(t *testing.T) {
 	g := batteryGraph(t, "power-law", false, true, 17)
 	n := g.N()
-	D := matrix.New(n)
-	D.InitAPSP()
+	D := matrix.NewZero(n)
 	rt := &Runtime{G: g, Workers: 1, Sources: identitySources(n), Dest: rowDest{m: D}, Flags: newFlags(n)}
 	run := kernelRegistry[KernelSweep].Bind(rt).(*laneRun)
 	run.Run(0, 0, batchLaneWidth)
@@ -298,6 +297,7 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 				for v := range rows[i] {
 					rows[i][v] = matrix.Inf
 				}
+				rows[i][sources[i]] = 0
 			}
 			if weighted {
 				sc.sweepSSSP(g, sources, rows, &st)

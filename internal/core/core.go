@@ -202,8 +202,7 @@ func Solve(g *graph.Graph, alg Algorithm, opts Options) (*Result, error) {
 
 	// Stages 2-4: schedule the ordered sources onto the kernel; folds
 	// (completed-row reuse) happen inside the kernels via the flag vector.
-	D := matrix.New(n)
-	D.InitAPSP()
+	D := matrix.NewZero(n) // each search begins its own row
 	start = time.Now()
 	res.Engine = engineOf(kern)
 	res.Kernel = kern.Name()
@@ -279,8 +278,7 @@ func SSSPPhase(g *graph.Graph, src []int32, workers int, scheme sched.Scheme, op
 	if err != nil {
 		return nil, 0, err
 	}
-	D := matrix.New(n)
-	D.InitAPSP()
+	D := matrix.NewZero(n)
 	start := time.Now()
 	sources := src
 	if sources == nil {

@@ -360,8 +360,7 @@ func TestRowReuseActuallyTriggers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count folds via the adaptive runner, which records reuse.
-	D := matrix.New(g.N())
-	D.InitAPSP()
+	D := matrix.NewZero(g.N())
 	ord := runAdaptive(g, D, Options{})
 	if len(ord) != g.N() {
 		t.Fatal("adaptive order wrong size")
@@ -465,7 +464,7 @@ func TestCountersCollected(t *testing.T) {
 	if st.Pops == 0 || st.EdgeScans == 0 || st.Enqueues == 0 {
 		t.Fatalf("counters empty: %+v", st)
 	}
-	if st.Folds == 0 || st.FoldUpdates == 0 {
+	if st.Folds == 0 {
 		t.Errorf("no folds on scale-free graph: %+v", st)
 	}
 	if r := st.FoldRate(); r <= 0 || r >= 1 {
@@ -514,10 +513,10 @@ func TestCountersAddAndZeroRate(t *testing.T) {
 	if a.FoldRate() != 0 {
 		t.Error("zero counters fold rate non-zero")
 	}
-	a.Add(Counters{Pops: 2, Folds: 1, FoldUpdates: 3, FoldBatches: 7, FoldsSkipped: 8,
+	a.Add(Counters{Pops: 2, Folds: 1, FoldBatches: 7, FoldsSkipped: 8,
 		FoldEntriesSkipped: 9, EdgeScans: 4, EdgeUpdates: 5, Enqueues: 6})
 	a.Add(Counters{Pops: 2, Folds: 1})
-	if a.Pops != 4 || a.Folds != 2 || a.FoldUpdates != 3 || a.EdgeScans != 4 || a.EdgeUpdates != 5 || a.Enqueues != 6 {
+	if a.Pops != 4 || a.Folds != 2 || a.EdgeScans != 4 || a.EdgeUpdates != 5 || a.Enqueues != 6 {
 		t.Errorf("Add = %+v", a)
 	}
 	if a.FoldBatches != 7 || a.FoldsSkipped != 8 || a.FoldEntriesSkipped != 9 {
@@ -533,7 +532,7 @@ func TestFoldBatchingParallel(t *testing.T) {
 	// relaxation and drains them back-to-back; on a scale-free graph with
 	// several workers racing to publish rows, drains must happen and the
 	// solution must still be exact. (Run under -race this also exercises
-	// the row+summary publication protocol.)
+	// the row publication protocol and the first-fold view builds.)
 	g, err := gen.BarabasiAlbert(300, 3, 21, gen.Weighting{Min: 1, Max: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +558,7 @@ func TestFoldSkipSinkRows(t *testing.T) {
 	// Directed star into a sink: vertex 0 has no outgoing edges, so its
 	// completed row is finite only at the diagonal. Every later search
 	// reaches 0, finds it done, and must skip the fold outright (the
-	// summary proves it a no-op) — and still compute exact distances.
+	// fold view proves it a no-op) — and still compute exact distances.
 	const k = 8
 	edges := make([]graph.Edge, 0, k)
 	for i := int32(1); i <= k; i++ {

@@ -17,16 +17,15 @@ type Counters struct {
 	// including fold-queue drains.
 	Pops int64
 	// Folds is the number of completed-row combines (Algorithm 1's
-	// lines 6-11 taken); FoldUpdates counts the entries they improved.
-	Folds       int64
-	FoldUpdates int64
+	// lines 6-11 taken).
+	Folds int64
 	// FoldBatches is the number of back-to-back fold drains: the batched
 	// solver defers completed rows discovered during one relaxation and
 	// sweeps them consecutively while the destination row is cache-hot,
 	// so Folds/FoldBatches is the mean rows folded per drain.
 	FoldBatches int64
 	// FoldsSkipped counts completed rows that were not swept at all
-	// because their summary showed no finite entry besides the diagonal
+	// because their fold view showed no finite entry besides the diagonal
 	// (the fold is then a provable no-op). FoldEntriesSkipped counts the
 	// Inf entries the sparse-aware kernels avoided touching in the rows
 	// that were swept, via the finite span or explicit index list.
@@ -55,7 +54,6 @@ type Counters struct {
 func (c *Counters) Add(o Counters) {
 	c.Pops += o.Pops
 	c.Folds += o.Folds
-	c.FoldUpdates += o.FoldUpdates
 	c.FoldBatches += o.FoldBatches
 	c.FoldsSkipped += o.FoldsSkipped
 	c.FoldEntriesSkipped += o.FoldEntriesSkipped
@@ -78,7 +76,6 @@ func (r *Result) PublishMetrics(m *obs.Metrics) {
 	c := r.Stats
 	m.Counter("core.pops").Add(c.Pops)
 	m.Counter("core.folds").Add(c.Folds)
-	m.Counter("core.fold_updates").Add(c.FoldUpdates)
 	m.Counter("core.fold_batches").Add(c.FoldBatches)
 	m.Counter("core.folds_skipped").Add(c.FoldsSkipped)
 	m.Counter("core.fold_entries_skipped").Add(c.FoldEntriesSkipped)

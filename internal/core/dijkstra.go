@@ -9,25 +9,70 @@ import (
 	"parapsp/internal/obs"
 )
 
-// flags is the shared completion vector of Algorithm 1 ("vector flag").
-// flags.done(t) == true means the full SSSP row of t is final and will
-// never be written again, so any other search may fold it in.
+// flags is the shared completion vector of Algorithm 1 ("vector flag"),
+// with the rows' fold views beside it. flags.done(t) == true means the
+// full SSSP row of t is final and will never be written again, so any
+// other search may fold it in.
 //
-// Publication protocol: the owner of source t writes its whole row (and
-// its finite-entry summary, see matrix.SummarizeRow), then calls set(t) —
-// an atomic store. A reader that observes done(t) == true via the atomic
-// load is therefore guaranteed (Go memory model: the store is a release,
-// the load an acquire) to see every row entry and the summary. This is
-// what makes the parallel algorithms produce the exact sequential
-// solution without locking the matrix.
+// Publication protocol: the owner of source t writes its whole row, then
+// calls set(t) — an atomic store. A reader that observes done(t) == true
+// via the atomic load is therefore guaranteed (Go memory model: the store
+// is a release, the load an acquire) to see every row entry. This is what
+// makes the parallel algorithms produce the exact sequential solution
+// without locking the matrix.
+//
+// Fold views are built by readers, not by the owner: the first search
+// that folds row t scans the final row and publishes its view by
+// compare-and-swap (view). Rows no search folds are never scanned — on
+// the benchmark's power-law graph about half of them, and every row of a
+// lane solve.
 type flags struct {
-	v []atomic.Uint32
+	v     []atomic.Uint32
+	views []atomic.Pointer[foldView]
 }
 
-func newFlags(n int) *flags { return &flags{v: make([]atomic.Uint32, n)} }
+func newFlags(n int) *flags {
+	return &flags{v: make([]atomic.Uint32, n), views: make([]atomic.Pointer[foldView], n)}
+}
 
 func (f *flags) done(t int32) bool { return f.v[t].Load() != 0 }
 func (f *flags) set(t int32)       { f.v[t].Store(1) }
+
+// foldView describes the finite entries of a final row: every non-Inf
+// entry lies in the span [lo, hi) and finite is their count. idx lists
+// their positions when they populate at most 1/indexedFoldDivisor of the
+// span, i.e. when a gather over the list is clearly cheaper than a
+// contiguous sweep of the span.
+type foldView struct {
+	lo, hi, finite int
+	idx            []int32
+}
+
+const indexedFoldDivisor = 8
+
+// view returns the fold view of the done row t, whose contents are rt,
+// building it on first use. Two searches folding t for the first time at
+// once may both build one; the compare-and-swap keeps the first, and both
+// describe the same final row.
+func (f *flags) view(t int32, rt []matrix.Dist) *foldView {
+	if v := f.views[t].Load(); v != nil {
+		return v
+	}
+	lo, hi, finite := matrix.ScanFinite(rt)
+	v := &foldView{lo: lo, hi: hi, finite: finite}
+	if finite > 1 && finite <= (hi-lo)/indexedFoldDivisor {
+		v.idx = make([]int32, 0, finite)
+		for j := lo; j < hi; j++ {
+			if rt[j] != matrix.Inf {
+				v.idx = append(v.idx, int32(j))
+			}
+		}
+	}
+	if f.views[t].CompareAndSwap(nil, v) {
+		return v
+	}
+	return f.views[t].Load()
+}
 
 // queueCompactMin is the minimum consumed-prefix length before the FIFO
 // queue is compacted in place. Compaction reclaims the dead prefix so the
@@ -65,38 +110,24 @@ func newScratch(n int) *scratch {
 func (sc *scratch) attachObs(r *obs.Recorder, l *obs.Lane) { sc.obsRec, sc.obsLane = r, l }
 
 // foldRow folds the completed row t (published in dest) into row at offset
-// dt — D[s,v] <- min(D[s,v], dt + D[t,v]) — dispatching on t's
-// finite-entry summary: a row whose only finite entry is the diagonal is
-// skipped outright (dt + 0 == dt == row[t] already), a sparse row is
-// gathered through its finite-index list, and a dense row is swept over
-// its finite span only. Destinations without summaries (subset row blocks)
-// fall back to a full-width sweep.
-func foldRow(dest rowDest, row []matrix.Dist, t int32, dt matrix.Dist, st *Counters) {
+// dt — D[s,v] <- min(D[s,v], dt + D[t,v]) — dispatching on t's fold view:
+// a row whose only finite entry is the diagonal is skipped outright
+// (dt + 0 == dt == row[t] already), a sparse row is gathered through its
+// finite-index list, and any other row is swept over its finite span.
+func foldRow(dest rowDest, f *flags, row []matrix.Dist, t int32, dt matrix.Dist, st *Counters) {
 	rt := dest.row(t)
-	sum, ok := dest.summary(t)
-	if !ok {
-		st.FoldUpdates += kernel.FoldRow(row, rt, dt)
-		return
-	}
-	if sum.Finite <= 1 {
+	v := f.view(t, rt)
+	switch {
+	case v.finite <= 1:
 		st.FoldsSkipped++
 		st.FoldEntriesSkipped += int64(len(rt))
-		return
+	case v.idx != nil:
+		st.FoldEntriesSkipped += int64(len(rt) - len(v.idx))
+		kernel.FoldRowIndexed(row, rt, dt, v.idx)
+	default:
+		st.FoldEntriesSkipped += int64(len(rt) - (v.hi - v.lo))
+		kernel.FoldRow(row[v.lo:v.hi], rt[v.lo:v.hi], dt)
 	}
-	if idx := dest.finiteIndex(t); idx != nil {
-		st.FoldEntriesSkipped += int64(len(rt) - len(idx))
-		st.FoldUpdates += kernel.FoldRowIndexed(row, rt, dt, idx)
-		return
-	}
-	lo, hi := int(sum.Lo), int(sum.Hi)
-	st.FoldEntriesSkipped += int64(len(rt) - (hi - lo))
-	if sum.Finite == sum.Hi-sum.Lo && dt <= matrix.Inf-sum.Max {
-		// Fully finite span and no sum can reach Inf: the pure
-		// add/compare sweep needs neither the Inf check nor the clamp.
-		st.FoldUpdates += kernel.FoldRowNoSat(row[lo:hi], rt[lo:hi], dt)
-		return
-	}
-	st.FoldUpdates += kernel.FoldRow(row[lo:hi], rt[lo:hi], dt)
 }
 
 // modifiedDijkstra is Algorithm 1: a label-correcting single-source search
@@ -132,8 +163,7 @@ func modifiedDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 		paperDijkstra(g, s, dest, f, sc, opts)
 		return
 	}
-	row := dest.row(s)
-	row[s] = 0 // line 2 (idempotent after InitAPSP)
+	row := dest.begin(s) // line 2
 	reuse := !opts.DisableRowReuse
 
 	q := sc.queue[:0]
@@ -157,7 +187,7 @@ func modifiedDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 				sc.inQueue[t] = false
 				st.Pops++
 				st.Folds++
-				foldRow(dest, row, t, row[t], st)
+				foldRow(dest, f, row, t, row[t], st)
 			}
 			folds = folds[:0]
 			if sc.obsLane != nil {
@@ -212,7 +242,7 @@ func modifiedDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 	}
 	sc.queue = q[:0]
 	sc.folds = folds[:0]
-	dest.publish(f, s) // line 21: publish the completed row (and its summary)
+	f.set(s) // line 21: publish the completed row
 }
 
 // paperDijkstra is the pseudocode-verbatim queue discipline, kept for the
@@ -222,8 +252,7 @@ func modifiedDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 // observationally identical to the scalar element loops, so the ablation
 // isolates the queue discipline alone.
 func paperDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch, opts Options) {
-	row := dest.row(s)
-	row[s] = 0
+	row := dest.begin(s)
 	reuse := !opts.DisableRowReuse
 
 	q := sc.queue[:0]
@@ -243,7 +272,7 @@ func paperDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch,
 		if reuse && t != s && f.done(t) {
 			// Lines 6-11: fold in the completed row of t.
 			st.Folds++
-			foldRow(dest, row, t, dt, st)
+			foldRow(dest, f, row, t, dt, st)
 			continue
 		}
 
@@ -263,7 +292,7 @@ func paperDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch,
 		sc.improved = imp[:0]
 	}
 	sc.queue = q[:0]
-	dest.publish(f, s)
+	f.set(s)
 }
 
 // runAdaptive implements Peng et al.'s adaptive optimization as described
@@ -317,8 +346,7 @@ func runAdaptive(g *graph.Graph, D *matrix.Matrix, opts Options) []int32 {
 // batching — the adaptive variant is sequential by construction, so there
 // is no published-mid-relaxation row to defer.
 func adaptiveDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch, reused []int64, opts Options) {
-	row := dest.row(s)
-	row[s] = 0
+	row := dest.begin(s)
 	q := sc.queue[:0]
 	q = append(q, s)
 	sc.inQueue[s] = true
@@ -335,7 +363,7 @@ func adaptiveDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 		dt := row[t]
 		if !opts.DisableRowReuse && t != s && f.done(t) {
 			reused[t]++
-			foldRow(dest, row, t, dt, st)
+			foldRow(dest, f, row, t, dt, st)
 			continue
 		}
 		adj, w := g.NeighborsW(t)
@@ -354,7 +382,7 @@ func adaptiveDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 		sc.improved = imp[:0]
 	}
 	sc.queue = q[:0]
-	dest.publish(f, s)
+	f.set(s)
 }
 
 // dijkstraKernel registers the paper's modified Dijkstra (Algorithm 1) as

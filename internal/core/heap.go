@@ -79,8 +79,7 @@ func newHeapScratch(n int) *heapScratch {
 // queue discipline wins on scale-free inputs (the paper implicitly chose
 // FIFO).
 func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *heapScratch, opts Options) {
-	row := dest.row(s)
-	row[s] = 0
+	row := dest.begin(s)
 	reuse := !opts.DisableRowReuse
 
 	sc.heap.reset()
@@ -100,18 +99,15 @@ func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *h
 
 		if reuse && t != s && f.done(t) {
 			// The re-push of improved vertices keeps this loop scalar
-			// (the fold kernels update distances only), but the
-			// finite-span summary still narrows the sweep to the
-			// published row's non-Inf region.
+			// (the fold kernels update distances only), but the fold
+			// view still narrows the sweep to the published row's
+			// finite span.
 			rt := dest.row(t)
-			lo, hi := 0, len(rt)
-			if sum, ok := dest.summary(t); ok {
-				if sum.Finite <= 1 {
-					continue // only the diagonal: dt+0 cannot improve row[t]
-				}
-				lo, hi = int(sum.Lo), int(sum.Hi)
+			fv := f.view(t, rt)
+			if fv.finite <= 1 {
+				continue // only the diagonal: dt+0 cannot improve row[t]
 			}
-			for v := lo; v < hi; v++ {
+			for v := fv.lo; v < fv.hi; v++ {
 				dtv := rt[v]
 				if dtv == matrix.Inf {
 					continue
@@ -146,7 +142,7 @@ func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *h
 			}
 		}
 	}
-	dest.publish(f, s)
+	f.set(s)
 }
 
 // heapKernel exposes the heap formulation as the "heap" kernel — the

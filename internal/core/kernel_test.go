@@ -88,7 +88,7 @@ func TestKernelsMatchDijkstra(t *testing.T) {
 
 // TestKernelSubsetMatchesSolve runs every kernel through SolveSubset and
 // checks the subset rows against the full solve, covering the second
-// destination type (the summary-less subset row block).
+// destination type (the subset row block).
 func TestKernelSubsetMatchesSolve(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		g := batteryGraph(t, "power-law", false, weighted, 11)

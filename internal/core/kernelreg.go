@@ -113,10 +113,9 @@ type Runtime struct {
 }
 
 // rowDest is the destination a pipeline writes rows into: the full
-// distance matrix of a Solve (with per-row finite summaries) or the row
-// block of a SolveSubset (no summaries — folds fall back to the
-// full-width kernel). It is the seam that lets every kernel serve both
-// entry points through one code path.
+// distance matrix of a Solve or the row block of a SolveSubset. It is the
+// seam that lets every kernel serve both entry points through one code
+// path; folds read either through the same fold views (flags.view).
 type rowDest struct {
 	m   *matrix.Matrix
 	sub *SubsetResult
@@ -131,30 +130,16 @@ func (d rowDest) row(t int32) []matrix.Dist {
 	return d.sub.Row(t)
 }
 
-// summary returns t's finite-entry summary when the destination keeps one.
-func (d rowDest) summary(t int32) (matrix.RowSummary, bool) {
-	if d.m != nil {
-		return d.m.Summary(int(t))
-	}
-	return matrix.RowSummary{}, false
-}
-
-// finiteIndex returns t's explicit finite-index list, if recorded.
-func (d rowDest) finiteIndex(t int32) []int32 {
-	if d.m != nil {
-		return d.m.FiniteIndex(int(t))
-	}
-	return nil
-}
-
-// publish marks row t final: the summary is recorded first (matrix
-// destinations only), then the completion flag is set — the release store
-// of the row-reuse protocol, see flags.
-func (d rowDest) publish(f *flags, t int32) {
-	if d.m != nil {
-		d.m.SummarizeRow(int(t))
-	}
-	f.set(t)
+// begin resets source s's row to Inf with a zero diagonal (lines 2-4 of
+// the paper's Algorithm 2) and returns it. Every kernel calls it as its
+// search starts, on the worker that owns the row, so no destination needs
+// a serial initialization pass; a search ends with flags.set, which
+// publishes the row.
+func (d rowDest) begin(s int32) []matrix.Dist {
+	row := d.row(s)
+	matrix.FillDist(row, matrix.Inf)
+	row[s] = 0
+	return row
 }
 
 // kernelRegistry maps kernel names to implementations. It is one

@@ -162,8 +162,7 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 	g := rt.G
 	dest := rt.Dest
 	f := rt.Flags
-	row := dest.row(s)
-	row[s] = 0
+	row := dest.begin(s)
 	reuse := !rt.Opts.DisableRowReuse
 	delta := r.lh.delta
 	st := &sc.stats
@@ -188,7 +187,7 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 
 			if reuse && t != s && f.done(t) {
 				st.Folds++
-				foldRow(dest, row, t, dt, st)
+				foldRow(dest, f, row, t, dt, st)
 				continue
 			}
 
@@ -243,5 +242,5 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 		sc.lastExp[v] = matrix.Inf
 	}
 	sc.touched = sc.touched[:0]
-	dest.publish(f, s)
+	f.set(s)
 }

@@ -77,15 +77,15 @@ func TestDeltaWidthRegimes(t *testing.T) {
 // kernelSteadyAllocs measures the steady-state allocations of one solved
 // source for a bound kernel: Bind once, warm a prefix of sources (growing
 // the pooled scratch and publishing rows so the fold path is live), then
-// repeatedly re-solve one source with its row and flag reset. The graph is
-// the connected grid, so published rows are dense and SummarizeRow never
-// allocates a finite-index list.
+// repeatedly re-solve one source with its flag reset (the kernel begins
+// its own row). The warm-up call builds the fold views of the rows it
+// folds; the graph is the connected grid, so those rows are dense and no
+// view carries a finite-index list.
 func kernelSteadyAllocs(t *testing.T, name string) float64 {
 	t.Helper()
 	g := batteryGraph(t, "grid", false, true, 5)
 	n := g.N()
-	D := matrix.New(n)
-	D.InitAPSP()
+	D := matrix.NewZero(n)
 	f := newFlags(n)
 	sources := make([]int32, n)
 	for i := range sources {
@@ -108,11 +108,6 @@ func kernelSteadyAllocs(t *testing.T, name string) float64 {
 	run.Run(0, 0, warm)
 	s := warm
 	allocs := testing.AllocsPerRun(20, func() {
-		row := D.Row(s)
-		for i := range row {
-			row[i] = matrix.Inf
-		}
-		row[s] = 0
 		f.v[s].Store(0)
 		run.Run(0, s, s+1)
 	})

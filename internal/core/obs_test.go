@@ -85,7 +85,6 @@ func TestObsDifferential(t *testing.T) {
 				}{
 					{"core.pops", c.Pops},
 					{"core.folds", c.Folds},
-					{"core.fold_updates", c.FoldUpdates},
 					{"core.fold_batches", c.FoldBatches},
 					{"core.folds_skipped", c.FoldsSkipped},
 					{"core.fold_entries_skipped", c.FoldEntriesSkipped},

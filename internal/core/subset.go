@@ -107,9 +107,6 @@ func SolveSubset(g *graph.Graph, sources []int32, opts Options) (*SubsetResult, 
 	for i, s := range uniq {
 		res.rowIdx[s] = i
 	}
-	for i := range res.rows {
-		res.rows[i] = matrix.Inf
-	}
 
 	workers := sched.Workers(opts.Workers)
 	if opts.Obs != nil && opts.Obs.Workers() < workers {

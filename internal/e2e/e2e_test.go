@@ -255,3 +255,40 @@ func TestParapspdSmoke(t *testing.T) {
 	}
 	wantLines(t, tail.String(), "parapspd: draining", "parapspd: drained cleanly (requests=")
 }
+
+// TestParapspdDenseIDs boots the daemon on a hand-written edge list whose
+// labels are not 0..n-1: it must name the label-to-id mapping at start-up
+// and answer queries by dense id (first-seen order), not by file label.
+func TestParapspdDenseIDs(t *testing.T) {
+	// First-seen order: label 10 is id 0, 20 is 1, 30 is 2, 40 is 3.
+	path := filepath.Join(t.TempDir(), "relabelled.txt")
+	if err := os.WriteFile(path, []byte("10 20\n20 30\n30 40\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, build(t, "parapspd"), "parapspd: listening on ",
+		"-graph", path, "-undirected", "-addr", "127.0.0.1:0", "-landmarks", "-1")
+	wantLines(t, d.output(), "parapspd: queries take dense ids 0..3 in first-seen order, not file labels: file label 10 is id 0")
+
+	resp, err := http.Get(fmt.Sprintf("http://%s/dist?u=0&v=3", d.addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ans struct {
+		Dist int64 `json:"dist"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&ans)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || ans.Dist != 3 {
+		t.Fatalf("/dist?u=0&v=3 (labels 10 and 40): status %d, %+v, %v; want dist 3", resp.StatusCode, ans, err)
+	}
+	// Label 40 is not an id of this 4-vertex graph.
+	resp, err = http.Get(fmt.Sprintf("http://%s/dist?u=0&v=40", d.addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/dist?u=0&v=40: status %d, want 400", resp.StatusCode)
+	}
+	d.drain(t, "parapspd: drained cleanly (requests=")
+}

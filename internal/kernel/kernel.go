@@ -9,10 +9,11 @@
 //     checks (the same pattern as internal/matrix's blocked helpers);
 //   - a branchless saturating add (wrap-detect + conditional move)
 //     instead of the Inf-skip branch, which mispredicts badly on rows
-//     with scattered Inf holes;
-//   - a sparse gather variant driven by the per-row finite-index summary
-//     internal/matrix maintains, so folding a mostly-Inf row touches only
-//     its finite entries.
+//     with scattered Inf holes, and an unconditional min-store in the
+//     fold, whose improve-or-not branch mispredicts just as badly;
+//   - a sparse gather variant driven by the finite-index list of
+//     internal/core's fold views, so folding a mostly-Inf row touches
+//     only its finite entries.
 //
 // Every kernel is observationally identical to its scalar reference in
 // ref.go; the differential and fuzz tests in this package, plus the
@@ -40,89 +41,46 @@ func addSat(base, v matrix.Dist) matrix.Dist {
 	return nd
 }
 
-// FoldRow performs dst[j] = min(dst[j], sat(base+src[j])) over all j and
-// returns the number of entries it improved. len(dst) must be at least
-// len(src); only the first len(src) entries are folded. dst and src must
-// not partially overlap (exact aliasing is harmless; the APSP solvers
-// always pass distinct rows).
+// FoldRow performs dst[j] = min(dst[j], sat(base+src[j])) over all j.
+// len(dst) must be at least len(src); only the first len(src) entries are
+// folded. dst and src must not partially overlap (exact aliasing is
+// harmless; the APSP solvers always pass distinct rows).
 //
-// The store into dst stays conditional on purpose: in the hot path most
-// folds improve only a few entries, and an unconditional min-store would
-// dirty the whole destination row every fold.
-func FoldRow(dst, src []matrix.Dist, base matrix.Dist) int64 {
+// Every step stores unconditionally: dst is the search's own row, hot in
+// cache, and on power-law graphs about half of all folded entries improve
+// (DESIGN.md §6), so a conditional store mispredicts on every other entry
+// while the min-store is a compare and a conditional move. The body is unrolled
+// by hand (the compiler does not unroll loops), leaving one
+// length-checked iteration per blockWidth entries. An Inf base needs no
+// special case: addSat(Inf, v) is Inf for every v.
+func FoldRow(dst, src []matrix.Dist, base matrix.Dist) {
 	dst = dst[:len(src)]
-	if base == matrix.Inf {
-		return 0 // Inf + anything is Inf: nothing can improve
-	}
-	var upd int64
 	i := 0
 	for ; i+blockWidth <= len(src); i += blockWidth {
 		s := (*[blockWidth]matrix.Dist)(src[i:])
 		d := (*[blockWidth]matrix.Dist)(dst[i:])
-		for j := 0; j < blockWidth; j++ {
-			if nd := addSat(base, s[j]); nd < d[j] {
-				d[j] = nd
-				upd++
-			}
-		}
+		d[0] = min(d[0], addSat(base, s[0]))
+		d[1] = min(d[1], addSat(base, s[1]))
+		d[2] = min(d[2], addSat(base, s[2]))
+		d[3] = min(d[3], addSat(base, s[3]))
+		d[4] = min(d[4], addSat(base, s[4]))
+		d[5] = min(d[5], addSat(base, s[5]))
+		d[6] = min(d[6], addSat(base, s[6]))
+		d[7] = min(d[7], addSat(base, s[7]))
 	}
 	for ; i < len(src); i++ {
-		if nd := addSat(base, src[i]); nd < dst[i] {
-			dst[i] = nd
-			upd++
-		}
+		dst[i] = min(dst[i], addSat(base, src[i]))
 	}
-	return upd
-}
-
-// FoldRowNoSat is FoldRow for the provably-unsaturated dense case: every
-// entry of src must be finite and base + max(src) must not exceed Inf, so
-// neither the Inf check nor the saturation clamp is needed. (A sum landing
-// exactly on Inf is still correct: Inf < dst[j] never holds, so it is
-// never stored.) The caller proves the precondition from the row summary —
-// a completed row of a connected component is fully finite, and fold
-// offsets are small — making this the common case on connected graphs.
-// With both per-element conditions gone the loop is a pure add/compare
-// sweep, faster than even the perfectly-predicted scalar loop.
-func FoldRowNoSat(dst, src []matrix.Dist, base matrix.Dist) int64 {
-	dst = dst[:len(src)]
-	var upd int64
-	i := 0
-	for ; i+blockWidth <= len(src); i += blockWidth {
-		s := (*[blockWidth]matrix.Dist)(src[i:])
-		d := (*[blockWidth]matrix.Dist)(dst[i:])
-		for j := 0; j < blockWidth; j++ {
-			if nd := base + s[j]; nd < d[j] {
-				d[j] = nd
-				upd++
-			}
-		}
-	}
-	for ; i < len(src); i++ {
-		if nd := base + src[i]; nd < dst[i] {
-			dst[i] = nd
-			upd++
-		}
-	}
-	return upd
 }
 
 // FoldRowIndexed is FoldRow restricted to the positions in idx — the
 // sparse variant for rows whose finite entries are few and scattered.
 // Every index must be in range for both slices; positions outside idx are
 // untouched, which is equivalent to FoldRow when src is Inf there.
-func FoldRowIndexed(dst, src []matrix.Dist, base matrix.Dist, idx []int32) int64 {
-	if base == matrix.Inf {
-		return 0
-	}
-	var upd int64
+func FoldRowIndexed(dst, src []matrix.Dist, base matrix.Dist, idx []int32) {
 	for _, j := range idx {
-		if nd := addSat(base, src[j]); nd < dst[j] {
-			dst[j] = nd
-			upd++
-		}
+		dst[j] = min(dst[j], addSat(base, src[j]))
 	}
-	return upd
 }
 
 // RelaxUnweighted relaxes the unweighted edges t->adj[i] against row: a

@@ -9,35 +9,18 @@ import "parapsp/internal/matrix"
 // kernel speedup against the code they replaced. They must stay
 // straightforward — do not optimize them.
 
-// FoldRowRef is the scalar reference for FoldRow.
-func FoldRowRef(dst, src []matrix.Dist, base matrix.Dist) int64 {
+// FoldRowRef is the scalar reference for FoldRow and, over a row that is
+// Inf outside the index list, for FoldRowIndexed.
+func FoldRowRef(dst, src []matrix.Dist, base matrix.Dist) {
 	dst = dst[:len(src)]
-	var upd int64
 	for j, v := range src {
 		if v == matrix.Inf {
 			continue
 		}
 		if nd := matrix.AddSat(base, v); nd < dst[j] {
 			dst[j] = nd
-			upd++
 		}
 	}
-	return upd
-}
-
-// FoldRowIndexedRef is the scalar reference for FoldRowIndexed.
-func FoldRowIndexedRef(dst, src []matrix.Dist, base matrix.Dist, idx []int32) int64 {
-	var upd int64
-	for _, j := range idx {
-		if src[j] == matrix.Inf {
-			continue
-		}
-		if nd := matrix.AddSat(base, src[j]); nd < dst[j] {
-			dst[j] = nd
-			upd++
-		}
-	}
-	return upd
 }
 
 // RelaxUnweightedRef is the scalar reference for RelaxUnweighted.

@@ -75,53 +75,35 @@ func checksumDist(h uint64, s []Dist) uint64 {
 	return h
 }
 
+// FillDist sets every entry of s to d. Doubling copy: O(log len) calls
+// into runtime memmove instead of a per-element loop; this is the fastest
+// portable fill for large rows.
+func FillDist(s []Dist, d Dist) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = d
+	for filled := 1; filled < len(s); filled *= 2 {
+		copy(s[filled:], s[:filled])
+	}
+}
+
 // ScanFinite returns the finite span and population of s: every non-Inf
-// entry lies in [lo, hi), finite is their count, and max is the largest
-// finite value (0 for an all-Inf slice). An all-Inf slice yields
-// lo == hi == 0. The row-fold kernels use the result to touch only the
-// finite part of mostly-Inf rows, and to prove saturation impossible when
-// the fold offset plus max cannot reach Inf.
-func ScanFinite(s []Dist) (lo, hi, finite int, max Dist) {
+// entry lies in [lo, hi) and finite is their count. An all-Inf slice
+// yields lo == hi == 0. The solvers' fold views (internal/core) use the
+// result to fold only the finite part of mostly-Inf rows.
+func ScanFinite(s []Dist) (lo, hi, finite int) {
 	lo = 0
 	for lo < len(s) && s[lo] == Inf {
 		lo++
 	}
 	if lo == len(s) {
-		return 0, 0, 0, 0
+		return 0, 0, 0
 	}
 	hi = len(s)
 	for s[hi-1] == Inf {
 		hi--
 	}
 	// Count inside the span only; everything outside is Inf by construction.
-	finite, max = countMaxFinite(s[lo:hi])
-	return lo, hi, finite, max
-}
-
-// countMaxFinite returns the non-Inf population of s and its largest
-// non-Inf value (0 when there is none).
-func countMaxFinite(s []Dist) (int, Dist) {
-	c := 0
-	var max Dist
-	i := 0
-	for ; i+blockWidth <= len(s); i += blockWidth {
-		b := (*[blockWidth]Dist)(s[i:])
-		for j := 0; j < blockWidth; j++ {
-			if b[j] != Inf {
-				c++
-				if b[j] > max {
-					max = b[j]
-				}
-			}
-		}
-	}
-	for ; i < len(s); i++ {
-		if s[i] != Inf {
-			c++
-			if s[i] > max {
-				max = s[i]
-			}
-		}
-	}
-	return c, max
+	return lo, hi, countFinite(s[lo:hi])
 }

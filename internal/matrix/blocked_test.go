@@ -82,21 +82,20 @@ func TestScanFinite(t *testing.T) {
 	cases := []struct {
 		s              []Dist
 		lo, hi, finite int
-		max            Dist
 	}{
-		{nil, 0, 0, 0, 0},
-		{[]Dist{Inf, Inf, Inf}, 0, 0, 0, 0},
-		{[]Dist{5}, 0, 1, 1, 5},
-		{[]Dist{Inf, 5, Inf}, 1, 2, 1, 5},
-		{[]Dist{Inf, 5, Inf, 7, Inf, Inf}, 1, 4, 2, 7},
-		{[]Dist{0, Inf, Inf, Inf, Inf, Inf, Inf, Inf, Inf, 3}, 0, 10, 2, 3},
-		{[]Dist{0, MaxFinite}, 0, 2, 2, MaxFinite},
+		{nil, 0, 0, 0},
+		{[]Dist{Inf, Inf, Inf}, 0, 0, 0},
+		{[]Dist{5}, 0, 1, 1},
+		{[]Dist{Inf, 5, Inf}, 1, 2, 1},
+		{[]Dist{Inf, 5, Inf, 7, Inf, Inf}, 1, 4, 2},
+		{[]Dist{0, Inf, Inf, Inf, Inf, Inf, Inf, Inf, Inf, 3}, 0, 10, 2},
+		{[]Dist{0, MaxFinite}, 0, 2, 2},
 	}
 	for i, c := range cases {
-		lo, hi, finite, max := ScanFinite(c.s)
-		if lo != c.lo || hi != c.hi || finite != c.finite || max != c.max {
-			t.Errorf("case %d: ScanFinite = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-				i, lo, hi, finite, max, c.lo, c.hi, c.finite, c.max)
+		lo, hi, finite := ScanFinite(c.s)
+		if lo != c.lo || hi != c.hi || finite != c.finite {
+			t.Errorf("case %d: ScanFinite = (%d,%d,%d), want (%d,%d,%d)",
+				i, lo, hi, finite, c.lo, c.hi, c.finite)
 		}
 	}
 }
@@ -105,9 +104,8 @@ func TestScanFiniteRandomAgainstScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 300; trial++ {
 		s := randDists(rng, rng.Intn(120), 0.2)
-		lo, hi, finite, max := ScanFinite(s)
+		lo, hi, finite := ScanFinite(s)
 		wlo, whi, wfin := len(s), 0, 0
-		var wmax Dist
 		for i, v := range s {
 			if v != Inf {
 				if i < wlo {
@@ -115,17 +113,14 @@ func TestScanFiniteRandomAgainstScalar(t *testing.T) {
 				}
 				whi = i + 1
 				wfin++
-				if v > wmax {
-					wmax = v
-				}
 			}
 		}
 		if wfin == 0 {
 			wlo = 0
 		}
-		if lo != wlo || hi != whi || finite != wfin || max != wmax {
-			t.Fatalf("ScanFinite = (%d,%d,%d,%d), scalar (%d,%d,%d,%d) on %v",
-				lo, hi, finite, max, wlo, whi, wfin, wmax, s)
+		if lo != wlo || hi != whi || finite != wfin {
+			t.Fatalf("ScanFinite = (%d,%d,%d), scalar (%d,%d,%d) on %v",
+				lo, hi, finite, wlo, whi, wfin, s)
 		}
 	}
 }

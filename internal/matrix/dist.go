@@ -8,6 +8,12 @@
 // about 4.29e9, while path lengths in the tested graphs stay far below 1e6.
 // Using 4 bytes per entry halves the memory footprint relative to float64 and
 // is what makes the paper's O(n^2) storage feasible at interesting scales.
+//
+// A Matrix is plain storage with no per-row metadata. The APSP solvers
+// allocate it with NewZero and set each row up on the worker that solves
+// it; the finite-span views their folds dispatch on are per solve and
+// live in internal/core, built only for the rows a search folds. New and
+// InitAPSP serve the baselines and the distributed simulation.
 package matrix
 
 import "math"

@@ -18,36 +18,7 @@ import (
 type Matrix struct {
 	n    int
 	data []Dist
-
-	// Per-row finite-entry summaries, maintained on demand by
-	// SummarizeRow. They let the min-plus fold kernels in internal/core
-	// touch only the finite part of mostly-Inf rows. sumOK[i] reports
-	// whether sums[i] (and fidx[i]) describe the row's current contents;
-	// any direct mutation of a row (Set, Fill, InitAPSP) invalidates it.
-	// The summary slices follow the same concurrency contract as the row
-	// data: the owner of row i writes them, and other goroutines may read
-	// them only after the owner has published completion.
-	sums  []RowSummary
-	sumOK []bool
-	fidx  [][]int32
 }
-
-// RowSummary describes the finite entries of one row: every non-Inf entry
-// lies in the half-open span [Lo, Hi), Finite is their count, and Max is
-// the largest finite value (0 when there is none). Lo == Hi means the row
-// is entirely Inf. Max lets a fold prove saturation impossible up front
-// (offset + Max below Inf) and drop the per-element clamp.
-type RowSummary struct {
-	Lo, Hi int32
-	Finite int32
-	Max    Dist
-}
-
-// indexedFoldDivisor gates the finite-index list: SummarizeRow records the
-// explicit indices of a row's finite entries only when they populate at
-// most 1/indexedFoldDivisor of the finite span, i.e. when a gather over
-// the index list is clearly cheaper than a contiguous sweep of the span.
-const indexedFoldDivisor = 8
 
 // ErrDimension is returned for operations on matrices of mismatched size.
 var ErrDimension = errors.New("matrix: dimension mismatch")
@@ -55,32 +26,19 @@ var ErrDimension = errors.New("matrix: dimension mismatch")
 // New returns an n×n matrix with every entry set to Inf.
 // It panics if n is negative.
 func New(n int) *Matrix {
-	if n < 0 {
-		panic("matrix: negative dimension")
-	}
-	m := &Matrix{
-		n:     n,
-		data:  make([]Dist, n*n),
-		sums:  make([]RowSummary, n),
-		sumOK: make([]bool, n),
-		fidx:  make([][]int32, n),
-	}
+	m := NewZero(n)
 	m.Fill(Inf)
 	return m
 }
 
-// NewZero returns an n×n matrix with every entry zero.
+// NewZero returns an n×n matrix with every entry zero: the allocation's
+// own zeroing, with no pass over the entries. The APSP solvers start
+// from it, since each search initializes its own row.
 func NewZero(n int) *Matrix {
 	if n < 0 {
 		panic("matrix: negative dimension")
 	}
-	return &Matrix{
-		n:     n,
-		data:  make([]Dist, n*n),
-		sums:  make([]RowSummary, n),
-		sumOK: make([]bool, n),
-		fidx:  make([][]int32, n),
-	}
+	return &Matrix{n: n, data: make([]Dist, n*n)}
 }
 
 // N returns the matrix dimension.
@@ -95,70 +53,10 @@ func (m *Matrix) Row(i int) []Dist {
 func (m *Matrix) At(i, j int) Dist { return m.data[i*m.n+j] }
 
 // Set stores d at row i, column j.
-func (m *Matrix) Set(i, j int, d Dist) {
-	m.data[i*m.n+j] = d
-	if m.sumOK[i] {
-		m.sumOK[i] = false
-		m.fidx[i] = nil
-	}
-}
-
-// SummarizeRow scans row i and records its finite-entry summary, plus —
-// when the row is sparse enough (see indexedFoldDivisor) — the explicit
-// index list of its finite entries. The summary stays valid until the row
-// is mutated through Set, Fill, or InitAPSP; writes through the Row slice
-// are invisible to the matrix, so callers mutating rows directly (the APSP
-// solvers) must re-summarize before publishing the row to readers.
-func (m *Matrix) SummarizeRow(i int) {
-	row := m.Row(i)
-	lo, hi, finite, max := ScanFinite(row)
-	m.sums[i] = RowSummary{Lo: int32(lo), Hi: int32(hi), Finite: int32(finite), Max: max}
-	if finite > 0 && finite <= (hi-lo)/indexedFoldDivisor {
-		idx := make([]int32, 0, finite)
-		for j := lo; j < hi; j++ {
-			if row[j] != Inf {
-				idx = append(idx, int32(j))
-			}
-		}
-		m.fidx[i] = idx
-	} else {
-		m.fidx[i] = nil
-	}
-	m.sumOK[i] = true
-}
-
-// Summary returns row i's finite-entry summary and whether one is current.
-// ok == false means the row was never summarized or was mutated since; the
-// caller must fall back to treating the whole row as potentially finite.
-func (m *Matrix) Summary(i int) (RowSummary, bool) {
-	return m.sums[i], m.sumOK[i]
-}
-
-// FiniteIndex returns the explicit finite-entry index list of row i, or
-// nil when the row has no current summary or is too dense for a list to
-// pay off. The returned slice aliases internal storage; callers must not
-// modify it.
-func (m *Matrix) FiniteIndex(i int) []int32 {
-	if !m.sumOK[i] {
-		return nil
-	}
-	return m.fidx[i]
-}
+func (m *Matrix) Set(i, j int, d Dist) { m.data[i*m.n+j] = d }
 
 // Fill sets every entry to d.
-func (m *Matrix) Fill(d Dist) {
-	clear(m.sumOK)
-	clear(m.fidx)
-	// Doubling copy: O(log len) calls into runtime memmove instead of a
-	// per-element loop; this is the fastest portable fill for large rows.
-	if len(m.data) == 0 {
-		return
-	}
-	m.data[0] = d
-	for filled := 1; filled < len(m.data); filled *= 2 {
-		copy(m.data[filled:], m.data[:filled])
-	}
-}
+func (m *Matrix) Fill(d Dist) { FillDist(m.data, d) }
 
 // InitAPSP prepares the matrix for an APSP run: all entries Inf except the
 // diagonal, which is zero. This is lines 2-4 of the paper's Algorithm 2.
@@ -169,21 +67,10 @@ func (m *Matrix) InitAPSP() {
 	}
 }
 
-// Clone returns a deep copy of m. Row summaries are carried over; the
-// finite-index lists are shared (they are replaced wholesale, never
-// mutated in place, so sharing is safe).
+// Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{
-		n:     m.n,
-		data:  make([]Dist, len(m.data)),
-		sums:  make([]RowSummary, len(m.sums)),
-		sumOK: make([]bool, len(m.sumOK)),
-		fidx:  make([][]int32, len(m.fidx)),
-	}
+	c := &Matrix{n: m.n, data: make([]Dist, len(m.data))}
 	copy(c.data, m.data)
-	copy(c.sums, m.sums)
-	copy(c.sumOK, m.sumOK)
-	copy(c.fidx, m.fidx)
 	return c
 }
 

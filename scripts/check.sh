@@ -7,6 +7,8 @@
 # the race-enabled kernel differential suite together with the path
 # suite (every preset and kernel walks the same shortest paths), a
 # bounded fuzz of the store's frame decoder against its reference, the
+# store's and the solver's first-use races (shared-dictionary put/get;
+# eight workers building the same rows' fold views at once), the
 # performance gate (scripts/gate: the tiered store's memory-wall
 # contracts and the kernel race, held against scripts/gate_baseline.json),
 # and the benchmark module's own vet and smoke test. Run from anywhere
@@ -42,6 +44,9 @@ go test -run '^$' -bench Frame -benchtime=1x ./internal/store/
 echo "== store frame codec: 10 s fuzz of the decoder vs its reference + shared-dictionary put/get (race-enabled, 10 runs)"
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/store/
 go test -race -count=10 -run '^TestStoreConcurrent' ./internal/store/
+
+echo "== fold views: eight workers fold the same rows for the first time at once (race-enabled, 10 runs)"
+go test -race -count=10 -run '^TestFoldViewFirstFoldRace$' ./internal/core/
 
 echo "== kernel differential suite (registry battery + batch engines vs scalar) + path suite (race-enabled)"
 go test -race -run 'TestBatch|TestKernel|TestPath' -count=1 ./internal/core/
