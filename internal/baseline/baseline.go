@@ -17,7 +17,7 @@ import (
 // oracle for every other implementation in the repository.
 func FloydWarshall(g *graph.Graph) *matrix.Matrix {
 	n := g.N()
-	D := matrix.New(n)
+	D := matrix.NewZero(n)
 	D.InitAPSP()
 	for u := 0; u < n; u++ {
 		row := D.Row(u)

@@ -26,7 +26,7 @@ const BlockSize = 64
 // Dijkstra family on sparse complex networks.
 func BlockedFloydWarshall(g *graph.Graph, workers int) *matrix.Matrix {
 	n := g.N()
-	D := matrix.New(n)
+	D := matrix.NewZero(n)
 	D.InitAPSP()
 	for u := 0; u < n; u++ {
 		row := D.Row(u)

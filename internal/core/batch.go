@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"parapsp/internal/graph"
@@ -17,10 +18,11 @@ import (
 //
 //   - Unweighted graphs run a bit-parallel MS-BFS (Then et al., VLDB
 //     2014): up to 64 sources share one uint64 lane word per vertex
-//     (visit/next/seen bitmaps), each BFS level sweeps the adjacency once
-//     for the whole batch, and finished levels are scattered into the
-//     per-source distance rows. BFS levels ARE the exact hop-count
-//     distances, so the result is bit-identical to the scalar solver's.
+//     (visit/next/seen bitmaps), and one pass over the lane words per BFS
+//     level strips the lanes that already saw each vertex, writes the
+//     level into the rows of the rest, and expands the vertex for them.
+//     BFS levels ARE the exact hop-count distances, so the result is
+//     bit-identical to the scalar solver's.
 //
 //   - Weighted graphs run a shared-sweep label-correcting SSSP: the B
 //     tentative distance vectors are stored lane-major (B contiguous
@@ -159,49 +161,61 @@ func (sc *batchScratch) sweepSSSP(g *graph.Graph, sources []int32, rows [][]matr
 
 // msbfs runs one bit-parallel BFS batch: sources[i]'s distances land in
 // rows[i], which must be Inf with a zero diagonal (rowDest.begin).
-// len(sources) must be at most batchLaneWidth. Returns the number of
-// level-synchronous sweeps.
+// sources must be distinct and at most batchLaneWidth. Returns the number
+// of level-synchronous sweeps that discovered a vertex. visit[v] holds the
+// lanes that reached v from the previous level; one pass per level strips
+// those that already saw v, writes the level into the rows of the rest,
+// and expands v for exactly them into next.
 func (sc *batchScratch) msbfs(g *graph.Graph, sources []int32, rows [][]matrix.Dist, st *Counters) int64 {
 	n := g.N()
 	visit, next, seen := sc.visit[:n], sc.next[:n], sc.seen[:n]
-	for i := range seen {
-		seen[i] = 0
-	}
+	clear(seen)
 	for i, s := range sources {
 		bit := uint64(1) << uint(i)
-		visit[s] |= bit
 		seen[s] |= bit
+		adj := g.Neighbors(s)
+		st.EdgeScans += int64(len(adj))
+		kernel.OrLanes(visit, adj, bit)
 	}
-	var levels int64
+	var levels, scattered int64
 	for level := matrix.Dist(1); ; level++ {
-		// One adjacency sweep advances every packed search one level.
-		// Consuming visit words as we go keeps the double buffer clean
-		// for the swap (see the scratch invariant).
-		for v := 0; v < n; v++ {
-			lanes := visit[v]
+		// Consuming visit words as we go keeps the double buffer clean for
+		// the swap (see the scratch invariant).
+		var found uint64
+		for v, lanes := range visit {
 			if lanes == 0 {
 				continue
 			}
 			visit[v] = 0
+			fresh := lanes &^ seen[v]
+			if fresh == 0 {
+				continue
+			}
+			seen[v] |= fresh
+			found |= fresh
+			for w := fresh; w != 0; w &= w - 1 {
+				rows[bits.TrailingZeros64(w)][v] = level
+				scattered++
+			}
 			adj := g.Neighbors(int32(v))
 			st.EdgeScans += int64(len(adj))
-			kernel.OrLanes(next, adj, lanes)
+			kernel.OrLanes(next, adj, fresh)
 		}
-		if !kernel.AndnNewBits(next, seen) {
+		if found == 0 {
 			break // no lane discovered a new vertex: all BFS done
 		}
 		levels++
-		st.BatchScattered += kernel.ScatterLevel(next, rows, level)
 		visit, next = next, visit
 	}
+	st.BatchScattered += scattered
 	return levels
 }
 
 // laneKernel wraps the two multi-source batch engines as lane-width
 // source kernels: "msbfs" for unweighted graphs, "sweep" for weighted
 // ones. Grain() == batchLaneWidth makes the pipeline runner hand each Run
-// call one lane-width group of consecutive ordered sources — the batch the
-// engine solves with a single shared traversal.
+// call one lane-width range of the regrouped source order (groupSources)
+// — the batch the engine solves with a single shared traversal.
 type laneKernel struct {
 	name     string
 	weighted bool
@@ -231,6 +245,7 @@ func (k laneKernel) Bind(rt *Runtime) KernelRun {
 	return &laneRun{
 		rt:        rt,
 		weighted:  k.weighted,
+		sources:   groupSources(rt.G, rt.Sources),
 		scratches: make([]*batchScratch, rt.Workers),
 		counters:  make([]Counters, rt.Workers),
 	}
@@ -239,13 +254,14 @@ func (k laneKernel) Bind(rt *Runtime) KernelRun {
 type laneRun struct {
 	rt        *Runtime
 	weighted  bool
+	sources   []int32 // rt.Sources regrouped into lane batches
 	scratches []*batchScratch
 	counters  []Counters
 }
 
-// Run solves the lane-width source group rt.Sources[lo:hi] with one shared
-// traversal. With a recorder, the batch records a batch-sweep span on its
-// worker's lane (Index = batch ordinal, Arg = sweep count).
+// Run solves the lane batch r.sources[lo:hi] with one shared traversal.
+// With a recorder, the batch records a batch-sweep span on its worker's
+// lane (Index = batch ordinal, Arg = sweep count).
 func (r *laneRun) Run(w, lo, hi int) {
 	rt := r.rt
 	sc := r.scratches[w]
@@ -253,9 +269,10 @@ func (r *laneRun) Run(w, lo, hi int) {
 		sc = getBatchScratch(rt.G.N())
 		r.scratches[w] = sc
 	}
+	batch := r.sources[lo:hi]
 	rows := sc.rows[:0]
-	for i := lo; i < hi; i++ {
-		rows = append(rows, rt.Dest.begin(rt.Sources[i]))
+	for _, s := range batch {
+		rows = append(rows, rt.Dest.begin(s))
 	}
 	sc.rows = rows
 	st := &r.counters[w]
@@ -266,9 +283,9 @@ func (r *laneRun) Run(w, lo, hi int) {
 	}
 	var sweeps int64
 	if r.weighted {
-		sweeps = sc.sweepSSSP(rt.G, rt.Sources[lo:hi], rows, st)
+		sweeps = sc.sweepSSSP(rt.G, batch, rows, st)
 	} else {
-		sweeps = sc.msbfs(rt.G, rt.Sources[lo:hi], rows, st)
+		sweeps = sc.msbfs(rt.G, batch, rows, st)
 	}
 	st.Batches++
 	st.BatchSources += int64(hi - lo)
@@ -277,8 +294,8 @@ func (r *laneRun) Run(w, lo, hi int) {
 		rec.Lane(w).Add(obs.Event{Phase: obs.PhaseBatchSweep,
 			Start: t0, End: rec.Now(), Index: int64(lo / batchLaneWidth), Arg: sweeps})
 	}
-	for i := lo; i < hi; i++ {
-		rt.Flags.set(rt.Sources[i])
+	for _, s := range batch {
+		rt.Flags.set(s)
 	}
 }
 

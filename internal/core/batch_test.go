@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"parapsp/internal/baseline"
 	"parapsp/internal/gen"
 	"parapsp/internal/graph"
 	"parapsp/internal/matrix"
@@ -334,4 +336,251 @@ func TestScratchPoolReuse(t *testing.T) {
 		}
 	}
 	putScratch(sc)
+}
+
+// FuzzBatchMSBFS runs one msbfs batch on a small graph and holds every
+// row against a plain BFS (Inf where a vertex is unreachable). The graph
+// has 1–96 vertices, directed or undirected, with arcs decoded from byte
+// pairs; a vertex no arc names is isolated. Sources are decoded from
+// bytes, deduplicated and cut at one lane batch. Besides the rows it pins
+// the counters' meaning (BatchScattered is the number of finite
+// off-diagonal entries, the sweep count the deepest level) and the scratch
+// invariant (visit and next all zero after the run).
+func FuzzBatchMSBFS(f *testing.F) {
+	// Two adjacent sources in one batch.
+	f.Add(uint8(6), false, []byte{0, 1, 1, 2, 2, 3, 3, 4}, []byte{1, 2})
+	// A source with no out-arcs (3), and an isolated one (5).
+	f.Add(uint8(6), true, []byte{0, 1, 1, 2, 2, 3, 4, 0}, []byte{3, 0, 5, 4})
+	// A full 64-lane batch on a 96-vertex ring with chords.
+	var ring, lanes []byte
+	for v := 0; v < 96; v++ {
+		ring = append(ring, byte(v), byte((v+1)%96))
+		if v%7 == 0 {
+			ring = append(ring, byte(v), byte((v*5)%96))
+		}
+	}
+	for i := 0; i < batchLaneWidth; i++ {
+		lanes = append(lanes, byte(i*3))
+	}
+	f.Add(uint8(96), false, ring, lanes)
+	f.Add(uint8(96), true, ring, lanes)
+	f.Fuzz(func(t *testing.T, nRaw uint8, directed bool, arcs, srcBytes []byte) {
+		n := 1 + int(nRaw)%96
+		b := graph.NewBuilder(n, !directed)
+		for i := 0; i+1 < len(arcs); i += 2 {
+			if err := b.AddEdge(int32(int(arcs[i])%n), int32(int(arcs[i+1])%n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		picked := make([]bool, n)
+		var sources []int32
+		for _, c := range srcBytes {
+			if v := int(c) % n; !picked[v] && len(sources) < batchLaneWidth {
+				picked[v] = true
+				sources = append(sources, int32(v))
+			}
+		}
+		if len(sources) == 0 {
+			sources = []int32{0}
+		}
+		rows := make([][]matrix.Dist, len(sources))
+		for i, s := range sources {
+			rows[i] = make([]matrix.Dist, n)
+			matrix.FillDist(rows[i], matrix.Inf)
+			rows[i][s] = 0
+		}
+		sc := getBatchScratch(n)
+		defer putBatchScratch(sc)
+		var st Counters
+		sweeps := sc.msbfs(g, sources, rows, &st)
+
+		want := make([]matrix.Dist, n)
+		var finite int64
+		var deepest matrix.Dist
+		for i, s := range sources {
+			baseline.BFSSSSP(g, s, want)
+			for v, d := range want {
+				if rows[i][v] != d {
+					t.Fatalf("source %d (lane %d): dist to %d = %d, BFS %d", s, i, v, rows[i][v], d)
+				}
+				if d != matrix.Inf && d != 0 {
+					finite++
+					deepest = max(deepest, d)
+				}
+			}
+		}
+		if st.BatchScattered != finite {
+			t.Fatalf("BatchScattered = %d, want %d finite off-diagonal entries", st.BatchScattered, finite)
+		}
+		if sweeps != int64(deepest) {
+			t.Fatalf("%d sweeps, want %d (the deepest level)", sweeps, deepest)
+		}
+		for v := range sc.visit {
+			if sc.visit[v] != 0 || sc.next[v] != 0 {
+				t.Fatalf("scratch word %d left dirty: visit %x next %x", v, sc.visit[v], sc.next[v])
+			}
+		}
+	})
+}
+
+// TestBatchMSBFSBeyondOneBatch solves more than one lane batch, through
+// the default dispatch (msbfs), on an unweighted path whose searches need
+// more than 255 levels and on a directed graph with unreachable pairs:
+// full and subset solves at 1, 2 and 8 workers, every checksum equal to
+// the Dijkstra reference's.
+func TestBatchMSBFSBeyondOneBatch(t *testing.T) {
+	const n = 1100
+	var path, dag [][2]int32
+	for v := int32(0); v+1 < n; v++ {
+		path = append(path, [2]int32{v, v + 1})
+		// The DAG runs forward only, in chains of 50 with skips, so every
+		// backward pair and most pairs across chains are unreachable.
+		if v%50 != 49 {
+			dag = append(dag, [2]int32{v, v + 1})
+		}
+		if v%3 == 0 && v+7 < n {
+			dag = append(dag, [2]int32{v, v + 7})
+		}
+	}
+	graphs := map[string]*graph.Graph{}
+	var err error
+	if graphs["path"], err = graph.FromPairs(n, true, path); err != nil {
+		t.Fatal(err)
+	}
+	if graphs["dag"], err = graph.FromPairs(n, false, dag); err != nil {
+		t.Fatal(err)
+	}
+	var subset []int32 // scattered, non-adjacent, more than one batch
+	for v := int32(0); v < n; v += 7 {
+		subset = append(subset, v)
+	}
+	for name, g := range graphs {
+		ref := baseline.DijkstraAPSP(g)
+		if name == "path" && ref.At(0, n-1) <= 255 {
+			t.Fatalf("path depth %d does not exceed 255 levels", ref.At(0, n-1))
+		}
+		if name == "dag" && ref.CountFinite() == n*n {
+			t.Fatal("dag has no unreachable pair")
+		}
+		for _, workers := range []int{1, 2, 8} {
+			opts := Options{Workers: workers}
+			res, err := Solve(g, ParAPSP, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kernel != KernelMSBFS || res.Stats.Batches < 2 {
+				t.Fatalf("%s workers=%d: kernel %q, %d batches", name, workers, res.Kernel, res.Stats.Batches)
+			}
+			if a, b := res.D.Checksum(), ref.Checksum(); a != b {
+				diff, _ := res.D.Diff(ref, 5)
+				t.Fatalf("%s workers=%d: full checksum %#x, reference %#x (first diffs %v)", name, workers, a, b, diff)
+			}
+			sub, err := SolveSubset(g, subset, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Kernel != KernelMSBFS {
+				t.Fatalf("%s workers=%d: subset kernel %q", name, workers, sub.Kernel)
+			}
+			var want []matrix.Dist
+			for _, s := range sub.Sources {
+				want = append(want, ref.Row(int(s))...)
+			}
+			if a, b := sub.Checksum(), matrix.ChecksumDists(want); a != b {
+				t.Fatalf("%s workers=%d: subset checksum %#x, reference %#x", name, workers, a, b)
+			}
+		}
+	}
+}
+
+// msbfsOver runs the msbfs engine over consecutive lane batches of order
+// and returns its edge scans and the rows it wrote.
+func msbfsOver(g *graph.Graph, order []int32) (int64, *matrix.Matrix) {
+	D := matrix.NewZero(g.N())
+	dest := rowDest{m: D}
+	sc := getBatchScratch(g.N())
+	defer putBatchScratch(sc)
+	var st Counters
+	for lo := 0; lo < len(order); lo += batchLaneWidth {
+		batch := order[lo:min(lo+batchLaneWidth, len(order))]
+		rows := sc.rows[:0]
+		for _, s := range batch {
+			rows = append(rows, dest.begin(s))
+		}
+		sc.rows = rows
+		sc.msbfs(g, batch, rows, &st)
+	}
+	return st.EdgeScans, D
+}
+
+// TestBatchGroupSources pins the lane kernels' regrouping: it is a
+// permutation of the sources on full orders, scattered subsets and
+// disconnected graphs; a solve of one batch or less keeps its order and
+// allocates nothing; and on a mesh, batches of neighbouring sources scan
+// at most half the edges that consecutive chunks of the same order do.
+func TestBatchGroupSources(t *testing.T) {
+	grid, err := gen.Grid2D(44, 44, true, 1, gen.Weighting{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered, err := multiListsOrdering(grid, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scattered []int32 // no two adjacent: every third row and column
+	for r := 0; r < 44; r += 3 {
+		for c := 0; c < 44; c += 3 {
+			scattered = append(scattered, int32(r*44+c))
+		}
+	}
+	islands := batteryGraph(t, "disconnected", true, false, 7)
+	rng := rand.New(rand.NewSource(7))
+	var islandSubset []int32
+	for _, v := range rng.Perm(islands.N())[:100] {
+		islandSubset = append(islandSubset, int32(v))
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		sources []int32
+	}{
+		{"grid/full", grid, ordered},
+		{"grid/scattered", grid, scattered},
+		{"islands/full", islands, identitySources(islands.N())},
+		{"islands/subset", islands, islandSubset},
+	} {
+		got := groupSources(tc.g, tc.sources)
+		a, b := slices.Clone(got), slices.Clone(tc.sources)
+		slices.Sort(a)
+		slices.Sort(b)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: regrouped order is not a permutation of the sources", tc.name)
+		}
+		if tc.name == "grid/scattered" && !slices.Equal(got, tc.sources) {
+			// No source neighbours another, so every batch is seeded in order.
+			t.Fatalf("%s: non-adjacent sources were reordered", tc.name)
+		}
+	}
+
+	small := ordered[:batchLaneWidth]
+	if got := groupSources(grid, small); len(got) != len(small) || &got[0] != &small[0] {
+		t.Fatal("a one-batch solve was regrouped")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { groupSources(grid, small) }); allocs != 0 {
+		t.Fatalf("a one-batch solve allocates %v times", allocs)
+	}
+
+	chunked, want := msbfsOver(grid, ordered)
+	grouped, got := msbfsOver(grid, groupSources(grid, ordered))
+	if !got.Equal(want) {
+		t.Fatal("regrouped batches wrote different rows")
+	}
+	if 2*grouped > chunked {
+		t.Fatalf("regrouped batches scan %d edges, consecutive chunks %d: want at most half", grouped, chunked)
+	}
+	t.Logf("grid edge scans: consecutive chunks %d, regrouped %d", chunked, grouped)
 }

@@ -118,8 +118,10 @@ type Result struct {
 	// from u to v, matrix.Inf if v is unreachable from u. Path walks a
 	// shortest path back from any of its rows.
 	D *matrix.Matrix
-	// Order is the source order the run used (nil for SeqBasic/ParAlg1,
-	// whose order is the identity).
+	// Order is the ordering stage's source order (nil for
+	// SeqBasic/ParAlg1, whose order is the identity). The lane kernels
+	// (msbfs, sweep) regroup it into batches of neighbouring sources
+	// before they run.
 	Order []int32
 	// OrderingTime is the elapsed wall time of the ordering procedure.
 	OrderingTime time.Duration

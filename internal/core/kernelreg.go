@@ -68,22 +68,24 @@ type SourceKernel interface {
 	// combination exactly; a non-nil error says why not (e.g. the lane
 	// kernels are single-weighting and reject the scalar-only ablations).
 	Supports(g *graph.Graph, opts Options) error
-	// Grain is the number of consecutive ordered sources one Run call
-	// consumes: 1 for the scalar kernels, batchLaneWidth for the
-	// lane-parallel ones. The pipeline runner schedules ceil(k/Grain)
-	// iterations.
+	// Grain is the number of consecutive sources one Run call consumes:
+	// 1 for the scalar kernels, batchLaneWidth for the lane-parallel ones.
+	// The pipeline runner schedules ceil(k/Grain) iterations.
 	Grain() int
 	// Bind prepares a per-solve instance: shared read-only precomputation
-	// (like Δ-stepping's light/heavy edge split) happens once here, and
-	// the returned run owns all per-worker scratch.
+	// happens once here (Δ-stepping's light/heavy edge split; the lane
+	// kernels' regrouping of more than batchLaneWidth sources into
+	// batches of neighbouring vertices), and the returned run owns all
+	// per-worker scratch.
 	Bind(rt *Runtime) KernelRun
 }
 
 // KernelRun is a bound kernel executing one solve.
 type KernelRun interface {
-	// Run solves sources rt.Sources[lo:hi] on worker w (hi-lo ≤ Grain()).
-	// Calls with distinct w execute concurrently; the kernel may keep
-	// per-worker scratch indexed by w.
+	// Run solves positions [lo, hi) of the run's source order on worker w
+	// (hi-lo ≤ Grain()): rt.Sources itself, or the lane kernels'
+	// regrouping of it. Calls with distinct w execute concurrently; the
+	// kernel may keep per-worker scratch indexed by w.
 	Run(w, lo, hi int)
 	// Finish releases pooled scratch and returns the aggregated work
 	// counters. It is called exactly once, after all Run calls completed.

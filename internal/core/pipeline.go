@@ -97,6 +97,49 @@ func identitySources(n int) []int32 {
 	return src
 }
 
+// groupSources is the lane kernels' order (laneKernel.Bind): sources
+// regrouped into lane batches of neighbouring vertices, whose frontiers
+// overlap, so one expansion serves many lanes (64 consecutive
+// degree-ordered ids span whole stretches of a mesh instead). Each batch
+// grows a BFS through ungrouped sources only from the first ungrouped
+// source in order, and from the next one in order whenever that region
+// runs out before the batch is full. The result is a permutation of
+// sources; an order of one batch or less is returned as it is, with no
+// allocation.
+func groupSources(g *graph.Graph, sources []int32) []int32 {
+	if len(sources) <= batchLaneWidth {
+		return sources
+	}
+	ungrouped := make([]bool, g.N())
+	for _, s := range sources {
+		ungrouped[s] = true
+	}
+	// The batch being built is its own BFS queue: order[head:] are the
+	// members not yet expanded.
+	order := make([]int32, 0, len(sources))
+	seed := 0
+	for len(order) < len(sources) {
+		head, end := len(order), min(len(order)+batchLaneWidth, len(sources))
+		for len(order) < end {
+			if head == len(order) {
+				for !ungrouped[sources[seed]] {
+					seed++
+				}
+				ungrouped[sources[seed]] = false
+				order = append(order, sources[seed])
+			}
+			for _, u := range g.Neighbors(order[head]) {
+				if ungrouped[u] && len(order) < end {
+					ungrouped[u] = false
+					order = append(order, u)
+				}
+			}
+			head++
+		}
+	}
+	return order
+}
+
 // runPipeline executes the SourceKernel stage of a solve: it binds the
 // kernel to the runtime, maps Grain-sized source groups to workers under
 // the schedule, and returns the aggregated counters. Scalar iterations of

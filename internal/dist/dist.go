@@ -85,9 +85,9 @@ func Solve(g *graph.Graph, cfg Config) (*matrix.Matrix, Stats, error) {
 
 	// Global result matrix. Each row is written by exactly one node (the
 	// owner of its source), so the gather step is free in the simulation;
-	// a real port would leave rows distributed.
-	D := matrix.New(n)
-	D.InitAPSP()
+	// a real port would leave rows distributed. It is allocated zeroed:
+	// each node initializes the rows it solves.
+	D := matrix.NewZero(n)
 
 	src := order.MultiLists(g.Degrees(), P, 0.1)
 
@@ -136,6 +136,7 @@ func Solve(g *graph.Graph, cfg Config) (*matrix.Matrix, Stats, error) {
 			for i := nd.id; i < n; i += P {
 				s := src[i]
 				row := D.Row(int(s))
+				matrix.FillDist(row, matrix.Inf)
 				queue = localDijkstra(g, s, row, nd.avail, owned, inQueue, queue[:0], &stats)
 				// Publish locally, then broadcast.
 				r := row
@@ -163,7 +164,8 @@ func Solve(g *graph.Graph, cfg Config) (*matrix.Matrix, Stats, error) {
 }
 
 // localDijkstra is the modified Dijkstra with visibility restricted to the
-// rows published in avail. It returns the (reset) queue for reuse.
+// rows published in avail. row must be all Inf; the search sets its
+// diagonal. It returns the (reset) queue for reuse.
 func localDijkstra(g *graph.Graph, s int32, row []matrix.Dist, avail []atomic.Pointer[[]matrix.Dist], owned, inQueue []bool, q []int32, stats *Stats) []int32 {
 	row[s] = 0
 	q = append(q, s)

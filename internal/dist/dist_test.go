@@ -108,6 +108,36 @@ func TestDistributedFoldAccounting(t *testing.T) {
 	}
 }
 
+// TestDistributedDisconnectedDirected covers the Inf entries: every node
+// initializes the rows it solves, so a pair no search reaches must still
+// read Inf, at one node, a few, and one node per vertex.
+func TestDistributedDisconnectedDirected(t *testing.T) {
+	// A one-way cycle with a tail, a separate directed path, and three
+	// isolated vertices (9, 10, 11).
+	pairs := [][2]int32{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {5, 6}, {6, 7}, {7, 8}}
+	g, err := graph.FromPairs(12, false, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := baseline.FloydWarshall(g)
+	if !ref.Equal(baseline.DijkstraAPSP(g)) {
+		t.Fatal("the two references disagree")
+	}
+	if ref.CountFinite() == g.N()*g.N() {
+		t.Fatal("test graph has no unreachable pair")
+	}
+	for _, nodes := range []int{1, 3, g.N()} {
+		D, _, err := Solve(g, Config{Nodes: nodes})
+		if err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
+		if !D.Equal(ref) {
+			diff, _ := D.Diff(ref, 5)
+			t.Fatalf("%d nodes: wrong entries at %v", nodes, diff)
+		}
+	}
+}
+
 func TestDistributedEdgeCases(t *testing.T) {
 	if _, _, err := Solve(nilSafeGraph(t, 0), Config{Nodes: 3}); err != nil {
 		t.Errorf("empty graph: %v", err)

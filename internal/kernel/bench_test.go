@@ -7,9 +7,10 @@ import (
 	"parapsp/internal/matrix"
 )
 
-// The fold microbenchmarks measure the scan of the hot path: sweeping
-// completed rows against a destination row that is already small, so no
-// entry improves. FoldRow's min-store costs the same either way; the
+// The fold microbenchmarks measure the scan of the hot path. The plain
+// cases sweep completed rows against a destination row that is already
+// small, so no entry improves; the Improve cases below fold into a partly
+// solved row. FoldRow's min-store costs the same either way; the
 // reference's conditional store would add a misprediction per improving
 // entry, which DESIGN.md §6 measures separately. Each iteration folds a
 // different source row, exactly as the solver does when it drains a fold
@@ -85,6 +86,67 @@ func BenchmarkFoldRowSparseRef(b *testing.B) {
 
 func BenchmarkFoldRowSparseIndexed(b *testing.B) {
 	benchFold(b, 0.02, func(d []matrix.Dist, r benchRow) { FoldRowIndexed(d, r.src, 7, r.idx) })
+}
+
+// The Improve cases fold into a partly solved row, the regime real folds
+// run in (on the fixed benchmark's power-law graph, 5.65 M of 9.77 M
+// folded entries improve): each destination entry is still Inf with
+// probability 1/2 and already small otherwise, so about half of the
+// finite source entries improve — half of a Dense row, 15% of a PowerLaw
+// one. A fold leaves its destination smaller, so every iteration first
+// restores it from the template with copy, a 16 KiB memmove that
+// BenchmarkFoldRowRestore times alone (about 0.23 µs on a 2-vCPU x86-64
+// host, some 3% of a dense fold there); subtract it to compare with the
+// no-improve cases.
+
+func benchImproveTemplate() []matrix.Dist {
+	rng := rand.New(rand.NewSource(44))
+	tmpl := make([]matrix.Dist, benchRowLen)
+	for i := range tmpl {
+		if rng.Intn(2) == 0 {
+			tmpl[i] = matrix.Inf
+		} else {
+			tmpl[i] = matrix.Dist(1 + rng.Intn(4))
+		}
+	}
+	return tmpl
+}
+
+func benchFoldImprove(b *testing.B, density float64, fold func(dst []matrix.Dist, r benchRow)) {
+	dst, rows := benchRows(density)
+	tmpl := benchImproveTemplate()
+	b.SetBytes(benchRowLen * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst, tmpl)
+		fold(dst, rows[i%benchRowRot])
+	}
+}
+
+func BenchmarkFoldRowRestore(b *testing.B) {
+	dst := make([]matrix.Dist, benchRowLen)
+	tmpl := benchImproveTemplate()
+	b.SetBytes(benchRowLen * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst, tmpl)
+	}
+}
+
+func BenchmarkFoldRowDenseImproveRef(b *testing.B) {
+	benchFoldImprove(b, 1.0, func(d []matrix.Dist, r benchRow) { FoldRowRef(d, r.src, 7) })
+}
+
+func BenchmarkFoldRowDenseImprove(b *testing.B) {
+	benchFoldImprove(b, 1.0, func(d []matrix.Dist, r benchRow) { FoldRow(d, r.src, 7) })
+}
+
+func BenchmarkFoldRowPowerLawImproveRef(b *testing.B) {
+	benchFoldImprove(b, 0.3, func(d []matrix.Dist, r benchRow) { FoldRowRef(d, r.src, 7) })
+}
+
+func BenchmarkFoldRowPowerLawImprove(b *testing.B) {
+	benchFoldImprove(b, 0.3, func(d []matrix.Dist, r benchRow) { FoldRow(d, r.src, 7) })
 }
 
 func benchRelaxSetup() (row []matrix.Dist, adj []int32, w []matrix.Dist) {

@@ -68,36 +68,6 @@ func decodeDist(raw uint32) matrix.Dist {
 	}
 }
 
-// FuzzAndnNewBits asserts AndnNewBits == AndnNewBitsRef on arbitrary
-// next/seen word pairs decoded from the fuzzer's byte stream, covering
-// the blocked body and the tail loop at every length.
-func FuzzAndnNewBits(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(make([]byte, 16*17)) // 17 word pairs: one past two blocks
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / 16
-		next := make([]uint64, n)
-		seen := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			next[i] = binary.LittleEndian.Uint64(data[i*16:])
-			seen[i] = binary.LittleEndian.Uint64(data[i*16+8:])
-		}
-		wantNext := append([]uint64(nil), next...)
-		wantSeen := append([]uint64(nil), seen...)
-		wantAny := AndnNewBitsRef(wantNext, wantSeen)
-		if gotAny := AndnNewBits(next, seen); gotAny != wantAny {
-			t.Fatalf("any = %v, ref %v", gotAny, wantAny)
-		}
-		for i := 0; i < n; i++ {
-			if next[i] != wantNext[i] || seen[i] != wantSeen[i] {
-				t.Fatalf("word %d diverged: next %x/%x seen %x/%x",
-					i, next[i], wantNext[i], seen[i], wantSeen[i])
-			}
-		}
-	})
-}
-
 // FuzzRelaxLanes asserts RelaxLanes == RelaxLanesRef on arbitrary
 // lane-major blocks, with the decoder biasing distances toward the
 // saturation boundary where the branchless add could diverge.

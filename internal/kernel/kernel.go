@@ -1,8 +1,10 @@
-// Package kernel holds the tight min-plus inner loops of the APSP hot
-// path: the row fold D[s,v] <- min(D[s,v], D[s,t]+D[t,v]) of Algorithm 1
-// and the edge-relaxation sweep. Profiling shows ParAPSP spends most of
-// its time in these two loops on power-law graphs, so they are written
-// the way the Go compiler optimizes best:
+// Package kernel holds the tight inner loops of the APSP hot path: the
+// min-plus row fold D[s,v] <- min(D[s,v], D[s,t]+D[t,v]) of Algorithm 1,
+// the edge-relaxation sweep, and the two lane-word loops of the
+// multi-source batch engines (msbfs.go: OrLanes, RelaxLanes). Profiling
+// shows ParAPSP spends most of its time in the fold and the relaxation on
+// power-law graphs, so they are written the way the Go compiler
+// optimizes best:
 //
 //   - fixed-width blocks via slice-to-array-pointer conversions, which
 //     prove lengths to the compiler and eliminate per-element bounds

@@ -14,66 +14,25 @@ import (
 // per-source edge scan, the memory-bandwidth bound of batched APSP on
 // unweighted power-law graphs, into a per-batch edge scan.
 //
-// Like the min-plus kernels in kernel.go, every primitive here is
+// There are two: OrLanes expands one vertex for the lanes that just
+// discovered it, and RelaxLanes relaxes one weighted arc for every active
+// lane. The rest of a BFS level (strip the lanes that already saw a
+// vertex, write the level into the rows of the new ones) is a few word
+// operations on that same vertex, so core's msbfs does it inline, in the
+// one pass per level that also calls OrLanes.
+//
+// Like the min-plus kernels in kernel.go, both primitives are
 // observationally identical to a scalar reference in ref.go, enforced by
 // the differential and fuzz tests of this package.
 
 // OrLanes ORs the lane word into next[u] for every u in adj: one vertex
-// expansion of the level-synchronous sweep, advancing every packed search
-// that is visiting the expanded vertex. Every target must be in range for
+// expansion of the level-synchronous sweep, making u a candidate of the
+// next level in every lane set in lanes. Every target must be in range for
 // next. lanes == 0 is a no-op (the caller skips those vertices anyway).
 func OrLanes(next []uint64, adj []int32, lanes uint64) {
 	for _, u := range adj {
 		next[u] |= lanes
 	}
-}
-
-// AndnNewBits finishes one BFS level: for every vertex word it strips the
-// lanes that already saw the vertex (next &^= seen), marks the survivors
-// as seen (seen |= next), and reports whether any lane discovered any new
-// vertex — the level loop's termination test. len(seen) must be at least
-// len(next). The blocked form proves the bounds once per 8-word chunk and
-// keeps the any-accumulator branchless inside the block.
-func AndnNewBits(next, seen []uint64) bool {
-	seen = seen[:len(next)]
-	var any uint64
-	i := 0
-	for ; i+blockWidth <= len(next); i += blockWidth {
-		nx := (*[blockWidth]uint64)(next[i:])
-		sn := (*[blockWidth]uint64)(seen[i:])
-		for j := 0; j < blockWidth; j++ {
-			nw := nx[j] &^ sn[j]
-			nx[j] = nw
-			sn[j] |= nw
-			any |= nw
-		}
-	}
-	for ; i < len(next); i++ {
-		nw := next[i] &^ seen[i]
-		next[i] = nw
-		seen[i] |= nw
-		any |= nw
-	}
-	return any != 0
-}
-
-// ScatterLevel scatters one finished BFS level into the per-source
-// distance rows: for every set bit b of newBits[v], rows[b][v] = level.
-// rows[b] must be at least len(newBits) long for every bit that can
-// appear. It returns the number of entries written (the level's frontier
-// size summed over lanes). Iterating set bits with TrailingZeros64 makes
-// the cost proportional to discoveries, not to 64*len(newBits).
-func ScatterLevel(newBits []uint64, rows [][]matrix.Dist, level matrix.Dist) int64 {
-	var wrote int64
-	for v, w := range newBits {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			rows[b][v] = level
-			wrote++
-		}
-	}
-	return wrote
 }
 
 // RelaxLanes relaxes one weighted arc for every search lane set in lanes:

@@ -45,85 +45,6 @@ func TestOrLanesMatchesRef(t *testing.T) {
 	}
 }
 
-func TestAndnNewBitsMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		// Lengths around the block width exercise the tail loop.
-		n := rng.Intn(40)
-		for _, density := range []float64{0, 0.02, 0.5, 1} {
-			next := randWords(rng, n, density)
-			seen := randWords(rng, n, density)
-			wantNext := append([]uint64(nil), next...)
-			wantSeen := append([]uint64(nil), seen...)
-			wantAny := AndnNewBitsRef(wantNext, wantSeen)
-			gotAny := AndnNewBits(next, seen)
-			if gotAny != wantAny {
-				t.Fatalf("n=%d density=%g: any = %v, ref %v", n, density, gotAny, wantAny)
-			}
-			for i := 0; i < n; i++ {
-				if next[i] != wantNext[i] || seen[i] != wantSeen[i] {
-					t.Fatalf("n=%d: word %d diverged (next %x/%x seen %x/%x)",
-						n, i, next[i], wantNext[i], seen[i], wantSeen[i])
-				}
-			}
-		}
-	}
-}
-
-func TestAndnNewBitsInvariants(t *testing.T) {
-	// After the call: next ∩ old-seen == ∅ and next ⊆ new-seen.
-	rng := rand.New(rand.NewSource(3))
-	next := randWords(rng, 64, 0.3)
-	seen := randWords(rng, 64, 0.3)
-	oldSeen := append([]uint64(nil), seen...)
-	AndnNewBits(next, seen)
-	for i := range next {
-		if next[i]&oldSeen[i] != 0 {
-			t.Fatalf("word %d: new bits %x overlap old seen %x", i, next[i], oldSeen[i])
-		}
-		if next[i]&^seen[i] != 0 {
-			t.Fatalf("word %d: new bits %x not marked seen %x", i, next[i], seen[i])
-		}
-		if oldSeen[i]&^seen[i] != 0 {
-			t.Fatalf("word %d: seen lost bits", i)
-		}
-	}
-}
-
-func newLaneRows(n int) [][]matrix.Dist {
-	rows := make([][]matrix.Dist, 64)
-	for b := range rows {
-		rows[b] = make([]matrix.Dist, n)
-		for v := range rows[b] {
-			rows[b][v] = matrix.Inf
-		}
-	}
-	return rows
-}
-
-func TestScatterLevelMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(50)
-		newBits := randWords(rng, n, 0.2)
-		level := matrix.Dist(1 + rng.Intn(1000))
-		want := newLaneRows(n)
-		got := newLaneRows(n)
-		wantWrote := ScatterLevelRef(newBits, want, level)
-		gotWrote := ScatterLevel(newBits, got, level)
-		if gotWrote != wantWrote {
-			t.Fatalf("trial %d: wrote %d, ref %d", trial, gotWrote, wantWrote)
-		}
-		for b := range want {
-			for v := range want[b] {
-				if got[b][v] != want[b][v] {
-					t.Fatalf("trial %d: rows[%d][%d] = %d, ref %d", trial, b, v, got[b][v], want[b][v])
-				}
-			}
-		}
-	}
-}
-
 func TestRelaxLanesMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	hazard := []matrix.Dist{0, 1, 7, matrix.MaxFinite - 1, matrix.MaxFinite, matrix.Inf}

@@ -52,36 +52,6 @@ func OrLanesRef(next []uint64, adj []int32, lanes uint64) {
 	}
 }
 
-// AndnNewBitsRef is the scalar reference for AndnNewBits: the per-word
-// loop with an early boolean instead of the blocked accumulator.
-func AndnNewBitsRef(next, seen []uint64) bool {
-	any := false
-	for i := range next {
-		nw := next[i] &^ seen[i]
-		next[i] = nw
-		seen[i] |= nw
-		if nw != 0 {
-			any = true
-		}
-	}
-	return any
-}
-
-// ScatterLevelRef is the scalar reference for ScatterLevel: a plain
-// bit-test loop over all 64 lanes of every word.
-func ScatterLevelRef(newBits []uint64, rows [][]matrix.Dist, level matrix.Dist) int64 {
-	var wrote int64
-	for v, w := range newBits {
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) != 0 {
-				rows[b][v] = level
-				wrote++
-			}
-		}
-	}
-	return wrote
-}
-
 // RelaxLanesRef is the scalar reference for RelaxLanes: the bit-test loop
 // with matrix.AddSat per lane.
 func RelaxLanesRef(du, dv []matrix.Dist, w matrix.Dist, lanes uint64) uint64 {

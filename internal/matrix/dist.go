@@ -12,8 +12,9 @@
 // A Matrix is plain storage with no per-row metadata. The APSP solvers
 // allocate it with NewZero and set each row up on the worker that solves
 // it; the finite-span views their folds dispatch on are per solve and
-// live in internal/core, built only for the rows a search folds. New and
-// InitAPSP serve the baselines and the distributed simulation.
+// live in internal/core, built only for the rows a search folds. The
+// distributed simulation and Floyd-Warshall (with InitAPSP) use NewZero
+// too; New serves the repeated-SSSP baselines.
 package matrix
 
 import "math"

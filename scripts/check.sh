@@ -4,9 +4,10 @@
 # seeded fuzz corpora as regression cases and the cmd end-to-end smokes,
 # the trace/metrics exporters included), a race-enabled pass over the
 # concurrent machinery, the kernel and frame-codec microbenchmark smokes,
-# the race-enabled kernel differential suite together with the path
-# suite (every preset and kernel walks the same shortest paths), a
-# bounded fuzz of the store's frame decoder against its reference, the
+# the race-enabled kernel differential suite (the msbfs fuzz corpus
+# included) together with the path suite (every preset and kernel walks
+# the same shortest paths), bounded fuzzes of the store's frame decoder
+# against its reference and of msbfs against a plain BFS, the
 # store's and the solver's first-use races (shared-dictionary put/get;
 # eight workers building the same rows' fold views at once), the
 # performance gate (scripts/gate: the tiered store's memory-wall
@@ -43,13 +44,15 @@ go test -run '^$' -bench Frame -benchtime=1x ./internal/store/
 
 echo "== store frame codec: 10 s fuzz of the decoder vs its reference + shared-dictionary put/get (race-enabled, 10 runs)"
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/store/
+echo "== msbfs lane engine: 10 s fuzz of one batch vs a plain BFS per source"
+go test -run '^$' -fuzz '^FuzzBatchMSBFS$' -fuzztime 10s ./internal/core/
 go test -race -count=10 -run '^TestStoreConcurrent' ./internal/store/
 
 echo "== fold views: eight workers fold the same rows for the first time at once (race-enabled, 10 runs)"
 go test -race -count=10 -run '^TestFoldViewFirstFoldRace$' ./internal/core/
 
-echo "== kernel differential suite (registry battery + batch engines vs scalar) + path suite (race-enabled)"
-go test -race -run 'TestBatch|TestKernel|TestPath' -count=1 ./internal/core/
+echo "== kernel differential suite (registry battery + batch engines vs scalar + msbfs fuzz corpus) + path suite (race-enabled)"
+go test -race -run 'TestBatch|TestKernel|TestPath|FuzzBatchMSBFS' -count=1 ./internal/core/
 
 echo "== cluster chaos e2e + shard-config fuzz corpus (race-enabled)"
 go test -race -run 'TestClusterChaos|TestRouter|TestDifferentialPartitioning|FuzzParseShardConfig' \

@@ -19,7 +19,7 @@ fi
 
 go tool nm -size -sort address "$1" | awk '
 BEGIN {
-    n = split("kernel.FoldRow core.(*stepRun).deltaStarSource core.(*batchScratch).msbfs kernel.OrLanes kernel.ScatterLevel kernel.AndnNewBits", order, " ")
+    n = split("kernel.FoldRow core.(*stepRun).deltaStarSource core.(*batchScratch).msbfs kernel.OrLanes", order, " ")
     for (i = 1; i <= n; i++) want[order[i]] = 1
     hex = "0123456789abcdef"
 }
