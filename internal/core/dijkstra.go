@@ -39,28 +39,31 @@ func (f *flags) done(t int32) bool { return f.v[t].Load() != 0 }
 func (f *flags) set(t int32)       { f.v[t].Store(1) }
 
 // foldView describes the finite entries of a final row: every non-Inf
-// entry lies in the span [lo, hi) and finite is their count. idx lists
-// their positions when they populate at most 1/indexedFoldDivisor of the
-// span, i.e. when a gather over the list is clearly cheaper than a
-// contiguous sweep of the span.
+// entry lies in the span [lo, hi), and idx lists their positions when
+// they populate at most 1/indexedFoldDivisor of the span, i.e. when a
+// gather over the list is clearly cheaper than a contiguous sweep of the
+// span. A span of at most one entry holds no more than the row's own
+// diagonal (a published row t has rt[t] == 0), so its fold is skipped.
 type foldView struct {
-	lo, hi, finite int
-	idx            []int32
+	lo, hi int
+	idx    []int32
 }
 
 const indexedFoldDivisor = 8
 
 // view returns the fold view of the done row t, whose contents are rt,
-// building it on first use. Two searches folding t for the first time at
-// once may both build one; the compare-and-swap keeps the first, and both
-// describe the same final row.
+// building it on first use. The finite count that decides the index list
+// stops at span/indexedFoldDivisor+1, so a dense row is scanned for an
+// eighth of its span, not all of it. Two searches folding t for the first
+// time at once may both build one; the compare-and-swap keeps the first,
+// and both describe the same final row.
 func (f *flags) view(t int32, rt []matrix.Dist) *foldView {
 	if v := f.views[t].Load(); v != nil {
 		return v
 	}
-	lo, hi, finite := matrix.ScanFinite(rt)
-	v := &foldView{lo: lo, hi: hi, finite: finite}
-	if finite > 1 && finite <= (hi-lo)/indexedFoldDivisor {
+	lo, hi, finite := matrix.ScanFinite(rt, indexedFoldDivisor)
+	v := &foldView{lo: lo, hi: hi}
+	if hi-lo > 1 && finite <= (hi-lo)/indexedFoldDivisor {
 		v.idx = make([]int32, 0, finite)
 		for j := lo; j < hi; j++ {
 			if rt[j] != matrix.Inf {
@@ -111,14 +114,15 @@ func (sc *scratch) attachObs(r *obs.Recorder, l *obs.Lane) { sc.obsRec, sc.obsLa
 
 // foldRow folds the completed row t (published in dest) into row at offset
 // dt — D[s,v] <- min(D[s,v], dt + D[t,v]) — dispatching on t's fold view:
-// a row whose only finite entry is the diagonal is skipped outright
-// (dt + 0 == dt == row[t] already), a sparse row is gathered through its
-// finite-index list, and any other row is swept over its finite span.
+// a row whose finite span is the diagonal alone (hi-lo <= 1) is skipped
+// outright (dt + 0 == dt == row[t] already), a sparse row is gathered
+// through its finite-index list, and any other row is swept over its
+// finite span.
 func foldRow(dest rowDest, f *flags, row []matrix.Dist, t int32, dt matrix.Dist, st *Counters) {
 	rt := dest.row(t)
 	v := f.view(t, rt)
 	switch {
-	case v.finite <= 1:
+	case v.hi-v.lo <= 1:
 		st.FoldsSkipped++
 		st.FoldEntriesSkipped += int64(len(rt))
 	case v.idx != nil:

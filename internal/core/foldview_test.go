@@ -7,6 +7,7 @@ import (
 
 	"parapsp/internal/baseline"
 	"parapsp/internal/graph"
+	"parapsp/internal/kernel"
 	"parapsp/internal/matrix"
 	"parapsp/internal/sched"
 )
@@ -18,11 +19,59 @@ func infRow(n int) []matrix.Dist {
 	return row
 }
 
+// foldPath publishes rt as row r of a matrix, folds it at offset 0 into
+// an all-Inf row through foldRow, and names the path foldRow took — skip,
+// index or sweep — from the counters it left. A path that folded must
+// leave exactly the reference fold; a skipped one must leave the row
+// untouched.
+func foldPath(t *testing.T, r int32, rt []matrix.Dist) (*foldView, string) {
+	t.Helper()
+	n := len(rt)
+	m := matrix.NewZero(n)
+	copy(m.Row(int(r)), rt)
+	f := newFlags(n)
+	f.set(r)
+	got := infRow(n)
+	var st Counters
+	foldRow(rowDest{m: m}, f, got, r, 0, &st)
+	v := f.views[r].Load()
+	if v == nil {
+		t.Fatal("foldRow built no view")
+	}
+	want := infRow(n)
+	path := "skip"
+	switch {
+	case st.FoldsSkipped == 1:
+		if st.FoldEntriesSkipped != int64(n) {
+			t.Fatalf("skip counted %d skipped entries, want %d", st.FoldEntriesSkipped, n)
+		}
+	case st.FoldEntriesSkipped == int64(n-(v.hi-v.lo)):
+		path = "sweep"
+		kernel.FoldRowRef(want, rt, 0)
+	case st.FoldEntriesSkipped == int64(n-len(v.idx)):
+		path = "index"
+		kernel.FoldRowRef(want, rt, 0)
+	default:
+		t.Fatalf("counters %+v match no fold path of view %+v", st, *v)
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("%s fold: row[%d] = %d, want %d", path, j, got[j], want[j])
+		}
+	}
+	return v, path
+}
+
 func TestFoldViewDense(t *testing.T) {
-	row := []matrix.Dist{0, 1, 2, 3, 4, 5}
-	v := newFlags(1).view(0, row)
-	if v.lo != 0 || v.hi != 6 || v.finite != 6 || v.idx != nil {
-		t.Fatalf("dense view = %+v", *v)
+	v, path := foldPath(t, 0, []matrix.Dist{0, 1, 2, 3, 4, 5})
+	if v.lo != 0 || v.hi != 6 || v.idx != nil || path != "sweep" {
+		t.Fatalf("dense view = %+v, %s", *v, path)
+	}
+	// A short row: 2 <= span/8 never holds below a span of 16, so its
+	// index list is never built.
+	v, path = foldPath(t, 0, []matrix.Dist{0, matrix.Inf, matrix.Inf, 9})
+	if v.lo != 0 || v.hi != 4 || v.idx != nil || path != "sweep" {
+		t.Fatalf("short view = %+v, %s", *v, path)
 	}
 }
 
@@ -31,19 +80,43 @@ func TestFoldViewSparseBuildsIndex(t *testing.T) {
 	// list must be built.
 	row := infRow(100)
 	row[10], row[73] = 5, 7
-	v := newFlags(1).view(0, row)
-	if v.lo != 10 || v.hi != 74 || v.finite != 2 {
-		t.Fatalf("sparse view = %+v", *v)
+	v, path := foldPath(t, 0, row)
+	if v.lo != 10 || v.hi != 74 || path != "index" {
+		t.Fatalf("sparse view = %+v, %s", *v, path)
 	}
 	if len(v.idx) != 2 || v.idx[0] != 10 || v.idx[1] != 73 {
 		t.Fatalf("finite index = %v", v.idx)
 	}
+
+	// The threshold: span 64 holding exactly 64/8 finite entries is
+	// indexed, one more is swept — the count stops at span/8+1.
+	for _, finite := range []int{8, 9} {
+		row := infRow(64)
+		for k := 0; k < finite; k++ {
+			row[k*63/(finite-1)] = matrix.Dist(k + 1)
+		}
+		v, path := foldPath(t, 0, row)
+		want := "index"
+		if finite > 8 {
+			want = "sweep"
+		}
+		if v.lo != 0 || v.hi != 64 || path != want || (path == "index") != (len(v.idx) == finite) {
+			t.Fatalf("%d finite in a span of 64: view = %+v, %s, want %s", finite, *v, path, want)
+		}
+	}
 }
 
 func TestFoldViewAllInf(t *testing.T) {
-	v := newFlags(1).view(0, infRow(5))
-	if v.lo != 0 || v.hi != 0 || v.finite != 0 || v.idx != nil {
-		t.Fatalf("all-Inf view = %+v", *v)
+	v, path := foldPath(t, 0, infRow(5))
+	if v.lo != 0 || v.hi != 0 || v.idx != nil || path != "skip" {
+		t.Fatalf("all-Inf view = %+v, %s", *v, path)
+	}
+	// Only the diagonal: a span of one entry, skipped (hi-lo <= 1).
+	row := infRow(5)
+	row[3] = 0
+	v, path = foldPath(t, 3, row)
+	if v.lo != 3 || v.hi != 4 || v.idx != nil || path != "skip" {
+		t.Fatalf("diagonal-only view = %+v, %s", *v, path)
 	}
 }
 
@@ -60,11 +133,15 @@ func TestFoldViewOfWrittenRow(t *testing.T) {
 	}
 	f := newFlags(50)
 	v := f.view(7, m.Row(7))
-	if v.lo != 7 || v.hi != 40 || v.finite != 11 || v.idx != nil {
+	// 11 finite entries in a span of 33: more than 33/8, so swept.
+	if v.lo != 7 || v.hi != 40 || v.idx != nil {
 		t.Fatalf("view = %+v", *v)
 	}
 	if again := f.view(7, m.Row(7)); again != v {
 		t.Fatal("second view call built a new view")
+	}
+	if fv, path := foldPath(t, 7, m.Row(7)); fv.lo != v.lo || fv.hi != v.hi || fv.idx != nil || path != "sweep" {
+		t.Fatalf("fold of the written row: view %+v, %s, want a sweep of [7, 40)", *fv, path)
 	}
 }
 

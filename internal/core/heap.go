@@ -104,7 +104,7 @@ func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *h
 			// finite span.
 			rt := dest.row(t)
 			fv := f.view(t, rt)
-			if fv.finite <= 1 {
+			if fv.hi-fv.lo <= 1 {
 				continue // only the diagonal: dt+0 cannot improve row[t]
 			}
 			for v := fv.lo; v < fv.hi; v++ {

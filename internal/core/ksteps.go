@@ -25,31 +25,38 @@ import (
 // Classic Δ-stepping pays for every decrease-key: push maintains an exact
 // inverse map so each vertex sits in at most one bucket and stale entries
 // are tombstoned. The lazy variant drops that maintenance entirely —
-// every relaxation that improves a vertex appends one entry to a pending
-// list and nothing is ever moved or deleted. Validity is decided at pop
-// time against lastExp, the tentative distance at which the vertex was
+// every relaxation that improves a vertex appends one entry, the vertex
+// and the distance it was pushed with, to a pending list, and nothing is
+// ever moved or deleted. Validity is decided at pop time against that
+// distance and lastExp, the tentative distance at which the vertex was
 // last expanded in this source's search:
 //
-//	a popped entry for v is live  ⇔  row[v] < lastExp[v]
+//	a popped entry (v, d) is live  ⇔  row[v] == d  and  row[v] < lastExp[v]
 //
-// The invariant this rests on: whenever row[v] improves, an entry for v is
-// appended at (or before, clamped to) the bucket where that distance is
-// due; so after the final improvement of v there is always a pending
-// entry that will pop while row[v] < lastExp[v], and v is then expanded
-// (or folded) at its final distance. Duplicate and stale entries fail the
-// comparison and cost one array read. Expansion sets lastExp[v] = row[v],
-// so re-expansion happens only after a further strict improvement —
-// exactly the reprocessing the eager variant does via re-bucketing.
+// The invariant this rests on: whenever a relaxation improves row[v], an
+// entry carrying the new distance is appended at (or before, clamped to)
+// the bucket where that distance is due; so after the last relaxation of
+// v there is a pending entry that still matches row[v] unless a fold
+// lowered it since, and v is then expanded (or folded) at that distance.
+// An entry whose row value dropped below its pushed distance is dead: a
+// later relaxation left its own entry, and a fold's row already bounds
+// every continuation through v (below). Duplicates — a vertex improved
+// twice through parallel edges of one relaxation — fail the lastExp
+// comparison; each dead entry costs two array reads. Expansion sets
+// lastExp[v] = row[v], so re-expansion happens only after a further
+// strict improvement — exactly the reprocessing the eager variant does
+// via re-bucketing.
 //
 // The kernel composes with completed-row reuse. When a live pop t has a
 // published final row, the row is folded into the current row and t's
 // edges — light AND heavy — are skipped: row t is final and the triangle
 // inequality D[t][x] ≤ D[t][u] + w(u,x) means the fold already bounds
 // every continuation through t. For the same reason fold-improved
-// vertices are not re-enqueued (the argument of modifiedDijkstra). A
-// popped vertex's distance may therefore sit below its bucket's nominal
-// range; pushes are clamped never to land behind the cursor (label
-// correcting makes late processing harmless, never wrong).
+// vertices are not re-enqueued (the argument of modifiedDijkstra), and a
+// queued entry whose distance a fold lowered is dropped rather than
+// folded or expanded again. A popped vertex's distance may sit below its
+// bucket's nominal range; pushes are clamped never to land behind the
+// cursor (label correcting makes late processing harmless, never wrong).
 
 // stepScratch is the per-worker state of one Δ*-stepping run. Every run
 // ends with the buckets empty and lastExp all Inf (reset via the touched
@@ -58,7 +65,7 @@ type stepScratch struct {
 	// buckets are the lazy pending lists, indexed by absolute bucket
 	// number and grown on demand; entries are appended on every
 	// improvement, never moved or deleted.
-	buckets [][]int32
+	buckets [][]stepEntry
 	// lastExp[v] is the tentative distance at which v was last expanded
 	// or folded in the current source's search; Inf = not yet.
 	lastExp []matrix.Dist
@@ -70,6 +77,13 @@ type stepScratch struct {
 	improved []int32
 	stats    Counters
 	maxB     int
+}
+
+// stepEntry is one lazy bucket entry: vertex v, pushed when a relaxation
+// set row[v] to d.
+type stepEntry struct {
+	v int32
+	d matrix.Dist
 }
 
 var stepPool sync.Pool
@@ -94,13 +108,14 @@ func putStepScratch(sc *stepScratch) {
 	stepPool.Put(sc)
 }
 
-// lazyPush appends v to bucket b — no membership test, no tombstone, no
-// inverse map; the pop-side lastExp comparison absorbs duplicates.
-func (sc *stepScratch) lazyPush(v int32, b int, st *Counters) {
+// lazyPush appends v, now at distance d, to bucket b — no membership
+// test, no tombstone, no inverse map; the pop-side comparisons absorb
+// stale entries and duplicates.
+func (sc *stepScratch) lazyPush(v int32, d matrix.Dist, b int, st *Counters) {
 	for len(sc.buckets) <= b {
 		sc.buckets = append(sc.buckets, nil)
 	}
-	sc.buckets[b] = append(sc.buckets[b], v)
+	sc.buckets[b] = append(sc.buckets[b], stepEntry{v, d})
 	if b > sc.maxB {
 		sc.maxB = b
 	}
@@ -168,16 +183,16 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 	st := &sc.stats
 
 	sc.maxB = 0
-	sc.lazyPush(s, 0, st)
+	sc.lazyPush(s, 0, 0, st)
 	rvec := sc.rvec[:0]
 	for cur := 0; cur <= sc.maxB; cur++ {
 		// Light phase: drain bucket cur to a fixpoint. Iterating by index
 		// keeps appends made during the drain visible.
 		for i := 0; i < len(sc.buckets[cur]); i++ {
-			t := sc.buckets[cur][i]
-			dt := row[t]
-			if dt >= sc.lastExp[t] {
-				continue // duplicate or stale: no improvement since last expansion
+			e := sc.buckets[cur][i]
+			t, dt := e.v, row[e.v]
+			if dt < e.d || dt >= sc.lastExp[t] {
+				continue // lowered since the push, or no improvement since the last expansion
 			}
 			if sc.lastExp[t] == matrix.Inf {
 				sc.touched = append(sc.touched, t)
@@ -205,7 +220,7 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 				if b < cur {
 					b = cur // fold-dragged distance: earliest still-open slot
 				}
-				sc.lazyPush(v, b, st)
+				sc.lazyPush(v, row[v], b, st)
 			}
 			sc.improved = imp[:0]
 			if r.lh.split && !sc.inR[t] {
@@ -231,7 +246,7 @@ func (r *stepRun) deltaStarSource(s int32, sc *stepScratch) {
 				if bk <= cur {
 					bk = cur + 1
 				}
-				sc.lazyPush(v, bk, st)
+				sc.lazyPush(v, row[v], bk, st)
 			}
 			sc.improved = imp[:0]
 		}

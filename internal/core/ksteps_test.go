@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"parapsp/internal/baseline"
 	"parapsp/internal/graph"
 	"parapsp/internal/matrix"
 )
@@ -126,5 +127,51 @@ func TestSteppingKernelZeroAllocs(t *testing.T) {
 		if got := kernelSteadyAllocs(t, name); got != 0 {
 			t.Errorf("kernel %s: %.1f allocs per solved source, want 0", name, got)
 		}
+	}
+}
+
+// TestDeltaStarDropsFoldLoweredEntry: a hub's fold lowers a queued vertex
+// whose row is done, and the queued entry, pushed at the higher distance,
+// must be dropped rather than folded a second time. The source 0 reaches
+// hub 1 (weight 1) and vertex 2 (weight 3); the hub reaches 2 (weight 1),
+// and 2 reaches 3. Δ is the mean weight, 6/4 = 1, so 2's entry waits in
+// bucket 3 while the hub's fold in bucket 1 sets row[2] = 2. Rows 1 and 2
+// are published beforehand, as in TestFoldViewFirstFoldRace, and one
+// worker solves 0.
+func TestDeltaStarDropsFoldLoweredEntry(t *testing.T) {
+	g, err := graph.FromEdges(4, false, []graph.Edge{
+		{From: 0, To: 1, W: 1}, {From: 0, To: 2, W: 3}, {From: 1, To: 2, W: 1}, {From: 2, To: 3, W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := deltaWidth(g); d != 1 {
+		t.Fatalf("deltaWidth = %d, want 1", d)
+	}
+	n := g.N()
+	D := matrix.NewZero(n)
+	f := newFlags(n)
+	pre := &Runtime{G: g, Opts: Options{DisableRowReuse: true}, Workers: 1,
+		Sources: []int32{1, 2}, Dest: rowDest{m: D}, Flags: f}
+	preRun := kernelRegistry[KernelDeltaStar].Bind(pre)
+	preRun.Run(0, 0, 2)
+	preRun.Finish()
+
+	rt := &Runtime{G: g, Workers: 1, Sources: []int32{0}, Dest: rowDest{m: D}, Flags: f}
+	run := kernelRegistry[KernelDeltaStar].Bind(rt)
+	run.Run(0, 0, 1)
+	st := run.Finish()
+
+	want := make([]matrix.Dist, n)
+	for s := 0; s < 3; s++ {
+		baseline.DijkstraSSSP(g, int32(s), want)
+		for v, d := range D.Row(s) {
+			if d != want[v] {
+				t.Fatalf("D[%d][%d] = %d, want %d", s, v, d, want[v])
+			}
+		}
+	}
+	if st.Folds != 1 {
+		t.Errorf("%d folds, want 1: only the hub's row is folded", st.Folds)
 	}
 }

@@ -9,10 +9,12 @@
 //   - fixed-width blocks via slice-to-array-pointer conversions, which
 //     prove lengths to the compiler and eliminate per-element bounds
 //     checks (the same pattern as internal/matrix's blocked helpers);
-//   - a branchless saturating add (wrap-detect + conditional move)
-//     instead of the Inf-skip branch, which mispredicts badly on rows
-//     with scattered Inf holes, and an unconditional min-store in the
-//     fold, whose improve-or-not branch mispredicts just as badly;
+//   - the sum base+x taken in 64 bits, where it cannot wrap, in place of
+//     the Inf-skip branch, which mispredicts badly on rows with scattered
+//     Inf holes: a sum >= Inf loses the min against any entry (at most
+//     Inf), so Inf stays absorbing with no clamp;
+//   - an unconditional min-store in the fold, whose improve-or-not
+//     branch mispredicts on every other entry of a partly solved row;
 //   - a sparse gather variant driven by the finite-index list of
 //     internal/core's fold views, so folding a mostly-Inf row touches
 //     only its finite entries.
@@ -29,21 +31,15 @@ import "parapsp/internal/matrix"
 // Dist entries, a 32-byte chunk.
 const blockWidth = 8
 
-// addSat is the branchless saturating add: base + v clamped to Inf.
-// Correctness of the wrap test: if the 32-bit sum does not wrap it is
-// >= v, so nd < v exactly when the true sum exceeded MaxUint32; the only
-// unwrapped sum that must clamp is MaxUint32 == Inf itself, which already
-// equals Inf. The compiler lowers the conditional to a CMOV, so the loop
-// body has no data-dependent branch.
-func addSat(base, v matrix.Dist) matrix.Dist {
-	nd := base + v
-	if nd < v {
-		nd = matrix.Inf
-	}
-	return nd
+// minPlus returns min(d, base+x), base being a distance the caller
+// widened once. The 64-bit sum cannot wrap, and one >= Inf never beats
+// d <= Inf, so the result always fits a Dist and equals the saturating
+// reference's. The compiler lowers the min to a compare and a CMOV.
+func minPlus(d matrix.Dist, base uint64, x matrix.Dist) matrix.Dist {
+	return matrix.Dist(min(uint64(d), base+uint64(x)))
 }
 
-// FoldRow performs dst[j] = min(dst[j], sat(base+src[j])) over all j.
+// FoldRow performs dst[j] = min(dst[j], base+src[j]) over all j.
 // len(dst) must be at least len(src); only the first len(src) entries are
 // folded. dst and src must not partially overlap (exact aliasing is
 // harmless; the APSP solvers always pass distinct rows).
@@ -53,25 +49,27 @@ func addSat(base, v matrix.Dist) matrix.Dist {
 // (DESIGN.md §6), so a conditional store mispredicts on every other entry
 // while the min-store is a compare and a conditional move. The body is unrolled
 // by hand (the compiler does not unroll loops), leaving one
-// length-checked iteration per blockWidth entries. An Inf base needs no
-// special case: addSat(Inf, v) is Inf for every v.
+// length-checked iteration per blockWidth entries. Neither an Inf base
+// nor an Inf entry needs a special case: its sum is at least Inf and
+// loses the min.
 func FoldRow(dst, src []matrix.Dist, base matrix.Dist) {
 	dst = dst[:len(src)]
+	b := uint64(base)
 	i := 0
 	for ; i+blockWidth <= len(src); i += blockWidth {
 		s := (*[blockWidth]matrix.Dist)(src[i:])
 		d := (*[blockWidth]matrix.Dist)(dst[i:])
-		d[0] = min(d[0], addSat(base, s[0]))
-		d[1] = min(d[1], addSat(base, s[1]))
-		d[2] = min(d[2], addSat(base, s[2]))
-		d[3] = min(d[3], addSat(base, s[3]))
-		d[4] = min(d[4], addSat(base, s[4]))
-		d[5] = min(d[5], addSat(base, s[5]))
-		d[6] = min(d[6], addSat(base, s[6]))
-		d[7] = min(d[7], addSat(base, s[7]))
+		d[0] = minPlus(d[0], b, s[0])
+		d[1] = minPlus(d[1], b, s[1])
+		d[2] = minPlus(d[2], b, s[2])
+		d[3] = minPlus(d[3], b, s[3])
+		d[4] = minPlus(d[4], b, s[4])
+		d[5] = minPlus(d[5], b, s[5])
+		d[6] = minPlus(d[6], b, s[6])
+		d[7] = minPlus(d[7], b, s[7])
 	}
 	for ; i < len(src); i++ {
-		dst[i] = min(dst[i], addSat(base, src[i]))
+		dst[i] = minPlus(dst[i], b, src[i])
 	}
 }
 
@@ -80,8 +78,9 @@ func FoldRow(dst, src []matrix.Dist, base matrix.Dist) {
 // Every index must be in range for both slices; positions outside idx are
 // untouched, which is equivalent to FoldRow when src is Inf there.
 func FoldRowIndexed(dst, src []matrix.Dist, base matrix.Dist, idx []int32) {
+	b := uint64(base)
 	for _, j := range idx {
-		dst[j] = min(dst[j], addSat(base, src[j]))
+		dst[j] = minPlus(dst[j], b, src[j])
 	}
 }
 
@@ -103,11 +102,14 @@ func RelaxUnweighted(row []matrix.Dist, adj []int32, nd matrix.Dist, improved []
 // against row, base being the distance to t. Improved neighbors are
 // appended to improved; a neighbor improved through two parallel edges in
 // the same call appears once per improvement, matching the scalar loop.
+// The candidate is summed in 64 bits as in FoldRow: a sum >= Inf never
+// beats an entry, so one that does fits a Dist.
 func RelaxWeighted(row []matrix.Dist, adj []int32, w []matrix.Dist, base matrix.Dist, improved []int32) []int32 {
 	w = w[:len(adj)] // one bounds check up front instead of one per edge
+	b := uint64(base)
 	for i, v := range adj {
-		if nd := addSat(base, w[i]); nd < row[v] {
-			row[v] = nd
+		if nd := b + uint64(w[i]); nd < uint64(row[v]) {
+			row[v] = matrix.Dist(nd)
 			improved = append(improved, v)
 		}
 	}

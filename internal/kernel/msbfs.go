@@ -36,19 +36,20 @@ func OrLanes(next []uint64, adj []int32, lanes uint64) {
 }
 
 // RelaxLanes relaxes one weighted arc for every search lane set in lanes:
-// for each set bit b it computes nd = sat(dv[b] + w) and improves du[b]
-// when nd is smaller, returning the lane set that improved (the bits the
-// caller must re-activate on the target vertex). dv and du are the
+// for each set bit b it computes nd = dv[b] + w in 64 bits and improves
+// du[b] when nd is smaller, returning the lane set that improved (the bits
+// the caller must re-activate on the target vertex). dv and du are the
 // lane-major distance blocks of the arc's source and target vertex; both
-// must be at least 64 wide in the lanes that can appear. The saturating
-// add keeps Inf absorbing exactly as matrix.AddSat does.
+// must be at least 64 wide in the lanes that can appear. The 64-bit sum
+// cannot wrap, and one >= Inf never beats du[b], so Inf stays absorbing
+// exactly as under matrix.AddSat.
 func RelaxLanes(du, dv []matrix.Dist, w matrix.Dist, lanes uint64) uint64 {
 	var out uint64
 	for lanes != 0 {
 		b := bits.TrailingZeros64(lanes)
 		lanes &= lanes - 1
-		if nd := addSat(dv[b], w); nd < du[b] {
-			du[b] = nd
+		if nd := uint64(dv[b]) + uint64(w); nd < uint64(du[b]) {
+			du[b] = matrix.Dist(nd)
 			out |= 1 << b
 		}
 	}

@@ -35,8 +35,11 @@ func equalDist(a, b []Dist) bool {
 	return true
 }
 
-// countFinite returns the number of non-Inf entries of s.
-func countFinite(s []Dist) int {
+// countFinite returns the number of non-Inf entries of s, capped at
+// limit: the count stops at the first block that reaches limit, so a
+// caller that only needs to know whether s holds more than limit-1 finite
+// entries does not scan the rest.
+func countFinite(s []Dist, limit int) int {
 	c := 0
 	i := 0
 	for ; i+blockWidth <= len(s); i += blockWidth {
@@ -46,13 +49,16 @@ func countFinite(s []Dist) int {
 				c++
 			}
 		}
+		if c >= limit {
+			return limit
+		}
 	}
 	for ; i < len(s); i++ {
 		if s[i] != Inf {
 			c++
 		}
 	}
-	return c
+	return min(c, limit)
 }
 
 // checksumDist folds s into an FNV-1a style hash state h. The hash chain is
@@ -88,11 +94,16 @@ func FillDist(s []Dist, d Dist) {
 	}
 }
 
-// ScanFinite returns the finite span and population of s: every non-Inf
-// entry lies in [lo, hi) and finite is their count. An all-Inf slice
-// yields lo == hi == 0. The solvers' fold views (internal/core) use the
-// result to fold only the finite part of mostly-Inf rows.
-func ScanFinite(s []Dist) (lo, hi, finite int) {
+// ScanFinite returns the finite span of s and its population, counted
+// only as far as a sparseness test needs: every non-Inf entry lies in
+// [lo, hi), and finite is their number capped at (hi-lo)/div+1, so
+// finite <= (hi-lo)/div tells whether they populate at most 1/div of the
+// span, and a dense span is counted for about 1/div of its length, not
+// all of it. div must be positive; div 1 counts them all. An all-Inf
+// slice yields lo == hi == finite == 0. The solvers' fold views
+// (internal/core) use the result to fold only the finite part of
+// mostly-Inf rows.
+func ScanFinite(s []Dist, div int) (lo, hi, finite int) {
 	lo = 0
 	for lo < len(s) && s[lo] == Inf {
 		lo++
@@ -105,5 +116,5 @@ func ScanFinite(s []Dist) (lo, hi, finite int) {
 		hi--
 	}
 	// Count inside the span only; everything outside is Inf by construction.
-	return lo, hi, countFinite(s[lo:hi])
+	return lo, hi, countFinite(s[lo:hi], (hi-lo)/div+1)
 }

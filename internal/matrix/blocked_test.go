@@ -55,8 +55,15 @@ func TestCountFiniteMatchesScalar(t *testing.T) {
 					want++
 				}
 			}
-			if got := countFinite(s); got != want {
+			if got := countFinite(s, n); got != want {
 				t.Fatalf("n=%d density=%g: countFinite = %d, want %d", n, density, got, want)
+			}
+			// A limit stops the count: the result is min(count, limit).
+			for _, limit := range []int{0, 1, want, want + 1, n/8 + 1} {
+				if got := countFinite(s, limit); got != min(want, limit) {
+					t.Fatalf("n=%d density=%g: countFinite(limit %d) = %d, want %d",
+						n, density, limit, got, min(want, limit))
+				}
 			}
 		}
 	}
@@ -79,20 +86,27 @@ func TestChecksumDistMatchesScalar(t *testing.T) {
 }
 
 func TestScanFinite(t *testing.T) {
+	dense := make([]Dist, 64)
 	cases := []struct {
 		s              []Dist
+		div            int
 		lo, hi, finite int
 	}{
-		{nil, 0, 0, 0},
-		{[]Dist{Inf, Inf, Inf}, 0, 0, 0},
-		{[]Dist{5}, 0, 1, 1},
-		{[]Dist{Inf, 5, Inf}, 1, 2, 1},
-		{[]Dist{Inf, 5, Inf, 7, Inf, Inf}, 1, 4, 2},
-		{[]Dist{0, Inf, Inf, Inf, Inf, Inf, Inf, Inf, Inf, 3}, 0, 10, 2},
-		{[]Dist{0, MaxFinite}, 0, 2, 2},
+		{nil, 1, 0, 0, 0},
+		{[]Dist{Inf, Inf, Inf}, 1, 0, 0, 0},
+		{[]Dist{5}, 1, 0, 1, 1},
+		{[]Dist{Inf, 5, Inf}, 1, 1, 2, 1},
+		{[]Dist{Inf, 5, Inf, 7, Inf, Inf}, 1, 1, 4, 2},
+		{[]Dist{0, Inf, Inf, Inf, Inf, Inf, Inf, Inf, Inf, 3}, 1, 0, 10, 2},
+		{[]Dist{0, MaxFinite}, 1, 0, 2, 2},
+		// div 8 caps the count at span/8+1: a dense span of 64 stops at 9.
+		{dense, 8, 0, 64, 9},
+		{dense[:20], 8, 0, 20, 3},
+		{[]Dist{0, Inf, Inf, Inf, Inf, Inf, Inf, Inf, Inf, 3}, 8, 0, 10, 2},
+		{[]Dist{Inf, 5, Inf}, 8, 1, 2, 1},
 	}
 	for i, c := range cases {
-		lo, hi, finite := ScanFinite(c.s)
+		lo, hi, finite := ScanFinite(c.s, c.div)
 		if lo != c.lo || hi != c.hi || finite != c.finite {
 			t.Errorf("case %d: ScanFinite = (%d,%d,%d), want (%d,%d,%d)",
 				i, lo, hi, finite, c.lo, c.hi, c.finite)
@@ -103,8 +117,9 @@ func TestScanFinite(t *testing.T) {
 func TestScanFiniteRandomAgainstScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 300; trial++ {
-		s := randDists(rng, rng.Intn(120), 0.2)
-		lo, hi, finite := ScanFinite(s)
+		s := randDists(rng, rng.Intn(120), 0.2+0.8*float64(trial%2))
+		div := []int{1, 2, 8}[trial%3]
+		lo, hi, finite := ScanFinite(s, div)
 		wlo, whi, wfin := len(s), 0, 0
 		for i, v := range s {
 			if v != Inf {
@@ -118,9 +133,10 @@ func TestScanFiniteRandomAgainstScalar(t *testing.T) {
 		if wfin == 0 {
 			wlo = 0
 		}
+		wfin = min(wfin, (whi-wlo)/div+1)
 		if lo != wlo || hi != whi || finite != wfin {
-			t.Fatalf("ScanFinite = (%d,%d,%d), scalar (%d,%d,%d) on %v",
-				lo, hi, finite, wlo, whi, wfin, s)
+			t.Fatalf("ScanFinite(div %d) = (%d,%d,%d), scalar (%d,%d,%d) on %v",
+				div, lo, hi, finite, wlo, whi, wfin, s)
 		}
 	}
 }

