@@ -2,9 +2,9 @@
 // repositories the paper draws its datasets from: SNAP (lines of
 // "u<TAB>v", comments starting with '#') and KONECT (comments starting
 // with '%', optional weight and timestamp columns). Vertex labels are
-// arbitrary non-negative integers and are remapped to the dense ids the
-// CSR representation requires; the mapping is returned so results can be
-// reported in the original labels.
+// arbitrary int64s, negative ones included, and are remapped to the dense
+// ids the CSR representation requires; the mapping is returned so results
+// can be reported in the original labels.
 //
 // With these loaders the real SNAP/KONECT files can be dropped into the
 // benchmark harness in place of the synthetic stand-ins.
@@ -12,6 +12,7 @@ package gio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -19,6 +20,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"parapsp/internal/graph"
 	"parapsp/internal/matrix"
@@ -48,12 +51,15 @@ type Result struct {
 var ErrFormat = errors.New("gio: malformed edge list")
 
 // ReadEdgeList parses an edge list from r.
+//
+// Fields are split on the white space strings.Fields splits on, the
+// Unicode spaces included, and a line whose first field starts with '#'
+// or '%' is a comment. Labels are base-10 int64s as strconv.ParseInt reads
+// them (a sign and leading zeros allowed); weights are base-10 integers in
+// [1, Inf) as strconv.ParseUint reads them. Lines are read as bytes and
+// labels are interned in first-seen order as they are read.
 func ReadEdgeList(r io.Reader, opts Options) (*Result, error) {
-	type rawEdge struct {
-		u, v int64
-		w    matrix.Dist
-	}
-	var raw []rawEdge
+	var edges []graph.Edge
 	ids := make(map[int64]int32)
 	var labels []int64
 	intern := func(label int64) int32 {
@@ -71,44 +77,43 @@ func ReadEdgeList(r io.Reader, opts Options) (*Result, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		line := sc.Bytes()
+		s0, e0 := field(line, 0)
+		if s0 == e0 || line[s0] == '#' || line[s0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, line)
+		s1, e1 := field(line, e0)
+		if s1 == e1 {
+			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, bytes.TrimSpace(line))
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
+		// The string conversions below do not escape, so they are made on
+		// the stack, not the heap.
+		u, err := strconv.ParseInt(string(line[s0:e0]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: bad source %q", ErrFormat, lineNo, fields[0])
+			return nil, fmt.Errorf("%w: line %d: bad source %q", ErrFormat, lineNo, line[s0:e0])
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
+		v, err := strconv.ParseInt(string(line[s1:e1]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: bad target %q", ErrFormat, lineNo, fields[1])
+			return nil, fmt.Errorf("%w: line %d: bad target %q", ErrFormat, lineNo, line[s1:e1])
 		}
 		w := matrix.Dist(1)
 		if opts.Weighted {
-			if len(fields) < 3 {
+			s2, e2 := field(line, e1)
+			if s2 == e2 {
 				return nil, fmt.Errorf("%w: line %d: missing weight", ErrFormat, lineNo)
 			}
-			wv, err := strconv.ParseUint(fields[2], 10, 32)
+			wv, err := strconv.ParseUint(string(line[s2:e2]), 10, 32)
 			if err != nil || wv == 0 || matrix.Dist(wv) == matrix.Inf {
-				return nil, fmt.Errorf("%w: line %d: bad weight %q", ErrFormat, lineNo, fields[2])
+				return nil, fmt.Errorf("%w: line %d: bad weight %q", ErrFormat, lineNo, line[s2:e2])
 			}
 			w = matrix.Dist(wv)
 		}
-		raw = append(raw, rawEdge{u, v, w})
+		edges = append(edges, graph.Edge{From: intern(u), To: intern(v), W: w})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 
-	// Intern labels in first-seen order so loading is deterministic.
-	for _, e := range raw {
-		intern(e.u)
-		intern(e.v)
-	}
 	b := graph.NewBuilder(len(labels), opts.Undirected)
 	if opts.KeepSelfLoops {
 		b.KeepSelfLoops()
@@ -118,8 +123,8 @@ func ReadEdgeList(r io.Reader, opts Options) (*Result, error) {
 		// WriteEdgeList preserves the weight column on round trips.
 		b.ForceWeighted()
 	}
-	for _, e := range raw {
-		if err := b.AddWeighted(ids[e.u], ids[e.v], e.w); err != nil {
+	for _, e := range edges {
+		if err := b.AddWeighted(e.From, e.To, e.W); err != nil {
 			return nil, err
 		}
 	}
@@ -128,6 +133,37 @@ func ReadEdgeList(r io.Reader, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Graph: g, Labels: labels}, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// field returns the bounds [start, end) of the first field of line at or
+// after i: a maximal run of runes that are not white space by
+// unicode.IsSpace, the rule strings.Fields and strings.TrimSpace use.
+// start == end when only white space is left.
+func field(line []byte, i int) (start, end int) {
+	start = len(line) // not in a field yet
+	for i < len(line) {
+		width, space := 1, false
+		if c := line[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			// Invalid UTF-8 decodes as one non-space byte, as in a range
+			// loop over a string.
+			var r rune
+			r, width = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space && start == len(line):
+			start = i
+		case space && start < len(line):
+			return start, i
+		}
+		i += width
+	}
+	return start, len(line)
 }
 
 // ReadFile parses an edge-list file; names ending in ".gz" are

@@ -62,6 +62,7 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		{"skew symmetry", "%%MatrixMarket matrix coordinate pattern skew-symmetric\n1 1 0\n"},
 		{"non-square", "%%MatrixMarket matrix coordinate pattern general\n2 3 0\n"},
 		{"bad size", "%%MatrixMarket matrix coordinate pattern general\nx y z\n"},
+		{"no size line", "%%MatrixMarket matrix coordinate pattern general\n% only a comment\n"},
 		{"index zero", "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n"},
 		{"index over", "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 3\n"},
 		{"missing value", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2\n"},

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"parapsp/internal/matrix"
 )
@@ -68,69 +68,71 @@ func (b *Builder) NumPending() int { return len(b.edges) }
 
 // Build assembles the CSR graph. The builder can be reused afterwards;
 // Build does not consume the recorded edges.
+//
+// Arcs are placed by a counting sort on the source, the pass Transpose
+// makes, and each source's arcs are then sorted by (target, weight), so
+// the build costs O(n + m) plus the sort of each adjacency list, and
+// every list comes out in the order one sort of all arcs by (source,
+// target, weight) gives. Merging parallel arcs keeps the first of each
+// run, which has the minimum weight.
 func (b *Builder) Build() (*Graph, error) {
-	edges := b.edges
-	if b.undirected {
-		// Materialize the reverse arcs. Self-loops are added once here and
-		// then deduplicated (or dropped) below like any other arc.
-		rev := make([]Edge, 0, len(edges))
-		for _, e := range edges {
-			if e.From != e.To {
-				rev = append(rev, Edge{From: e.To, To: e.From, W: e.W})
-			}
-		}
-		edges = append(append(make([]Edge, 0, len(edges)+len(rev)), edges...), rev...)
-	} else {
-		edges = append(make([]Edge, 0, len(edges)), edges...)
-	}
-
-	if !b.keepLoops {
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.From != e.To {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
-
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		return edges[i].W < edges[j].W
-	})
-
-	if !b.keepMulti {
-		kept := edges[:0]
-		for i, e := range edges {
-			if i > 0 && e.From == edges[i-1].From && e.To == edges[i-1].To {
-				continue // keep the first occurrence, which has minimum weight
-			}
-			kept = append(kept, e)
-		}
-		edges = kept
-	}
-
+	// An undirected edge is materialized in both directions; a self-loop
+	// is one arc, kept or dropped by policy.
 	offsets := make([]int64, b.n+1)
-	for _, e := range edges {
-		offsets[e.From+1]++
+	for _, e := range b.edges {
+		if e.From != e.To || b.keepLoops {
+			offsets[e.From+1]++
+		}
+		if e.From != e.To && b.undirected {
+			offsets[e.To+1]++
+		}
 	}
 	for v := 0; v < b.n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	targets := make([]int32, len(edges))
+
+	// Each arc is one key, target above weight, so an adjacency list
+	// sorts by (target, weight) as plain integers.
+	keys := make([]uint64, offsets[b.n])
+	next := make([]int64, b.n)
+	copy(next, offsets[:b.n])
+	for _, e := range b.edges {
+		if e.From != e.To || b.keepLoops {
+			keys[next[e.From]] = uint64(e.To)<<32 | uint64(e.W)
+			next[e.From]++
+		}
+		if e.From != e.To && b.undirected {
+			keys[next[e.To]] = uint64(e.From)<<32 | uint64(e.W)
+			next[e.To]++
+		}
+	}
+
+	// Sort each list and merge its parallel arcs in place; the kept arcs
+	// of v move down to start at the new offsets[v].
+	m, lo := int64(0), int64(0)
+	for v := 0; v < b.n; v++ {
+		hi := offsets[v+1]
+		arcs := keys[lo:hi]
+		slices.Sort(arcs)
+		for i, k := range arcs {
+			if !b.keepMulti && i > 0 && k>>32 == arcs[i-1]>>32 {
+				continue
+			}
+			keys[m] = k
+			m++
+		}
+		offsets[v+1], lo = m, hi
+	}
+
+	targets := make([]int32, m)
 	var weights []matrix.Dist
 	if b.weighted {
-		weights = make([]matrix.Dist, len(edges))
+		weights = make([]matrix.Dist, m)
 	}
-	for i, e := range edges {
-		targets[i] = e.To
+	for i, k := range keys[:m] {
+		targets[i] = int32(k >> 32)
 		if weights != nil {
-			weights[i] = e.W
+			weights[i] = matrix.Dist(k)
 		}
 	}
 	g := &Graph{offsets: offsets, targets: targets, weights: weights, undirected: b.undirected}

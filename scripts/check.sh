@@ -3,13 +3,16 @@
 # benchmark module included), the default test pass (which executes the
 # seeded fuzz corpora as regression cases and the cmd end-to-end smokes,
 # the trace/metrics exporters included), a race-enabled pass over the
-# concurrent machinery, the kernel and frame-codec microbenchmark smokes,
+# concurrent machinery, the kernel, frame-codec and graph-loading
+# (BenchmarkReadEdgeList, BenchmarkBuild) microbenchmark smokes,
 # the race-enabled kernel differential suite (the msbfs fuzz corpus
 # included) together with the path suite (every preset and kernel walks
 # the same shortest paths), bounded fuzzes of the store's frame decoder
-# against its reference, of msbfs against a plain BFS and of the min-plus
+# against its reference, of msbfs against a plain BFS, of the min-plus
 # kernels (FoldRow, RelaxWeighted, RelaxLanes) against their scalar
-# references, the store's and the solver's first-use races (shared-dictionary put/get;
+# references and of graph loading (the edge-list parser and the CSR
+# builder) against the string-based parser and one-sort build they
+# replaced, the store's and the solver's first-use races (shared-dictionary put/get;
 # eight workers building the same rows' fold views at once), the
 # performance gate (scripts/gate: the tiered store's memory-wall
 # contracts and the kernel race, held against scripts/gate_baseline.json),
@@ -39,9 +42,11 @@ go test -shuffle=on ./...
 echo "== go test -race . ./internal/..."
 go test -race . ./internal/...
 
-echo "== kernel + frame codec microbenchmarks (1 iteration, smoke)"
+echo "== kernel + frame codec + graph loading microbenchmarks (1 iteration, smoke)"
 go test -run '^$' -bench . -benchtime=1x ./internal/kernel/
 go test -run '^$' -bench Frame -benchtime=1x ./internal/store/
+go test -run '^$' -bench '^BenchmarkReadEdgeList$' -benchtime=1x ./internal/gio/
+go test -run '^$' -bench '^BenchmarkBuild$' -benchtime=1x ./internal/graph/
 
 echo "== store frame codec: 10 s fuzz of the decoder vs its reference + shared-dictionary put/get (race-enabled, 10 runs)"
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/store/
@@ -52,6 +57,9 @@ echo "== min-plus kernels: 10 s fuzzes of FoldRow, RelaxWeighted and RelaxLanes 
 go test -run '^$' -fuzz '^FuzzFoldRow$' -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz '^FuzzRelaxWeighted$' -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz '^FuzzRelaxLanes$' -fuzztime 10s ./internal/kernel/
+echo "== graph loading: 10 s fuzzes of the edge-list parser and the CSR builder vs their references"
+go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 10s ./internal/gio/
+go test -run '^$' -fuzz '^FuzzBuilder$' -fuzztime 10s ./internal/graph/
 
 echo "== fold views: eight workers fold the same rows for the first time at once (race-enabled, 10 runs)"
 go test -race -count=10 -run '^TestFoldViewFirstFoldRace$' ./internal/core/
