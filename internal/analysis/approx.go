@@ -132,42 +132,6 @@ func DiameterBounds(g *graph.Graph, sweeps int) (lower, upper matrix.Dist) {
 	return lower, upper
 }
 
-// SSSPDistances runs a plain BFS/SPFA single-source computation into a
-// fresh slice — the one-row convenience the library exposes for callers
-// who need a handful of rows without SolveSubset's bookkeeping.
-func SSSPDistances(g *graph.Graph, source int32) []matrix.Dist {
-	n := g.N()
-	dist := make([]matrix.Dist, n)
-	for i := range dist {
-		dist[i] = matrix.Inf
-	}
-	dist[source] = 0
-	inQ := make([]bool, n)
-	q := make([]int32, 0, 64)
-	q = append(q, source)
-	inQ[source] = true
-	for head := 0; head < len(q); head++ {
-		t := q[head]
-		inQ[t] = false
-		dt := dist[t]
-		adj, w := g.NeighborsW(t)
-		for i, v := range adj {
-			wt := matrix.Dist(1)
-			if w != nil {
-				wt = w[i]
-			}
-			if nd := matrix.AddSat(dt, wt); nd < dist[v] {
-				dist[v] = nd
-				if !inQ[v] {
-					inQ[v] = true
-					q = append(q, v)
-				}
-			}
-		}
-	}
-	return dist
-}
-
 // PageRank computes the stationary PageRank vector by parallel power
 // iteration with uniform teleportation: damping d, convergence when the
 // L1 change drops below tol (or after maxIter rounds). Dangling mass is

@@ -9,7 +9,6 @@ import (
 	"parapsp/internal/baseline"
 	"parapsp/internal/gen"
 	"parapsp/internal/graph"
-	"parapsp/internal/matrix"
 )
 
 func TestDiameterBoundsContainTruth(t *testing.T) {
@@ -81,24 +80,6 @@ func TestDiameterBoundsEdgeCases(t *testing.T) {
 	lo, _ := DiameterBounds(g2, 3)
 	if lo < 1 {
 		t.Errorf("disconnected lower bound = %d", lo)
-	}
-}
-
-func TestSSSPDistances(t *testing.T) {
-	g, err := graph.FromPairs(4, false, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := SSSPDistances(g, 0)
-	want := []matrix.Dist{0, 1, 2, 3}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("dist[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-	d2 := SSSPDistances(g, 3)
-	if d2[0] != matrix.Inf {
-		t.Error("backward distance finite on directed path")
 	}
 }
 

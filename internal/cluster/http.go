@@ -20,23 +20,6 @@ import (
 // merged /batch it is the comma-joined sorted set of contributing shards.
 const shardHeader = "X-Parapsp-Shard"
 
-// solverHeader mirrors serve's per-request solver report; the router
-// passes it through (joined across shards for a merged batch) so clients
-// see the same observability with or without the cluster in front.
-const solverHeader = "X-Parapsp-Solver"
-
-// versionHeader mirrors serve's per-response graph version. The router
-// passes it through on single-shard routes, and on a merged /batch it
-// refuses to combine shard responses computed at different versions: a
-// mutation that has reached one replica but not another would otherwise
-// mix distances from two different graphs into one answer set. Skewed
-// merges answer 409 + Retry-After — replicas converge as the mutation
-// propagates, so the client simply retries.
-const versionHeader = "X-Parapsp-Graph-Version"
-
-// maxBatchBody mirrors serve's /batch body bound.
-const maxBatchBody = 1 << 20
-
 // Handler returns the router's HTTP API — the same query surface as one
 // parapspd, plus cluster introspection:
 //
@@ -122,7 +105,7 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
 // what it would see talking to the shard.
 func writeForwarded(w http.ResponseWriter, res *fwdResult) {
 	for _, h := range []string{
-		solverHeader, versionHeader, "Content-Type",
+		serve.SolverHeader, serve.VersionHeader, "Content-Type",
 		"Retry-After", admit.RejectHeader, admit.DefaultTierHeader,
 	} {
 		if v := res.header.Get(h); v != "" {
@@ -211,7 +194,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	var ferr error
 	defer func() { release(ferr) }()
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBatchBody))
+	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, serve.MaxBodyBytes))
 	if err != nil {
 		r.m.badRequests.Add(1)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body: " + err.Error()})
@@ -294,7 +277,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	// same graph version, or the merge would mix two different graphs.
 	mergedVer := ""
 	for _, gr := range results {
-		ver := gr.res.header.Get(versionHeader)
+		ver := gr.res.header.Get(serve.VersionHeader)
 		if ver == "" {
 			continue
 		}
@@ -328,7 +311,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			answers[idx] = body.Answers[j]
 		}
 		shardIDs = appendUnique(shardIDs, gr.res.shard.ID)
-		if kind := gr.res.header.Get(solverHeader); kind != "" {
+		if kind := gr.res.header.Get(serve.SolverHeader); kind != "" {
 			kinds = appendUnique(kinds, kind)
 		}
 	}
@@ -336,10 +319,10 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	sort.Strings(kinds)
 	w.Header().Set(shardHeader, strings.Join(shardIDs, ","))
 	if len(kinds) > 0 {
-		w.Header().Set(solverHeader, strings.Join(kinds, ","))
+		w.Header().Set(serve.SolverHeader, strings.Join(kinds, ","))
 	}
 	if mergedVer != "" {
-		w.Header().Set(versionHeader, mergedVer)
+		w.Header().Set(serve.VersionHeader, mergedVer)
 	}
 	writeJSON(w, http.StatusOK, batchAnswers{Answers: answers})
 }

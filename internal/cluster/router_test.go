@@ -63,7 +63,7 @@ func newFakeShard(t *testing.T, id string, vertices int64) *fakeShard {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		w.Header().Set(solverHeader, "fake/"+f.id)
+		w.Header().Set(serve.SolverHeader, "fake/"+f.id)
 		json.NewEncoder(w).Encode(serve.Answer{U: u, V: v, Dist: int64(u) + int64(v), Exact: true})
 	})
 	mux.HandleFunc("/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -84,7 +84,7 @@ func newFakeShard(t *testing.T, id string, vertices int64) *fakeShard {
 		for i, q := range wire.Queries {
 			out.Answers[i] = serve.Answer{U: q.U, V: q.V, Dist: int64(q.U) + int64(q.V), Exact: true}
 		}
-		w.Header().Set(solverHeader, "fake/"+f.id)
+		w.Header().Set(serve.SolverHeader, "fake/"+f.id)
 		json.NewEncoder(w).Encode(out)
 	})
 	f.srv = httptest.NewServer(mux)
@@ -154,7 +154,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 		if got := rec.Header().Get(shardHeader); got != owner {
 			t.Fatalf("u=%d answered by %s, ring owner is %s", src, got, owner)
 		}
-		if got := rec.Header().Get(solverHeader); got != "fake/"+owner {
+		if got := rec.Header().Get(serve.SolverHeader); got != "fake/"+owner {
 			t.Fatalf("u=%d solver header %q not passed through", src, got)
 		}
 		var ans serve.Answer

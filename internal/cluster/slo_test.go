@@ -47,7 +47,7 @@ func newTierShard(t *testing.T, id string) *tierShard {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		w.Header().Set(solverHeader, "fake/"+f.id)
+		w.Header().Set(serve.SolverHeader, "fake/"+f.id)
 		json.NewEncoder(w).Encode(serve.Answer{U: u, V: v, Dist: int64(u) + int64(v), Exact: true})
 	})
 	f.srv = httptest.NewServer(mux)

@@ -101,7 +101,7 @@ findPair:
 	// Converged at version 1: the merge succeeds and reports it.
 	if rec := post(); rec.Code != http.StatusOK {
 		t.Fatalf("converged batch status %d: %s", rec.Code, rec.Body)
-	} else if got := rec.Header().Get(versionHeader); got != "1" {
+	} else if got := rec.Header().Get(serve.VersionHeader); got != "1" {
 		t.Fatalf("converged batch version header %q, want 1", got)
 	}
 
@@ -126,7 +126,7 @@ findPair:
 	}
 	if rec := post(); rec.Code != http.StatusOK {
 		t.Fatalf("re-converged batch status %d: %s", rec.Code, rec.Body)
-	} else if got := rec.Header().Get(versionHeader); got != "2" {
+	} else if got := rec.Header().Get(serve.VersionHeader); got != "2" {
 		t.Fatalf("re-converged batch version header %q, want 2", got)
 	}
 
@@ -135,8 +135,8 @@ findPair:
 	rec = httptest.NewRecorder()
 	target := fmt.Sprintf("/dist?u=%d&v=%d", u1, u2)
 	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-	if rec.Code != http.StatusOK || rec.Header().Get(versionHeader) != "2" {
-		t.Fatalf("/dist status %d version %q", rec.Code, rec.Header().Get(versionHeader))
+	if rec.Code != http.StatusOK || rec.Header().Get(serve.VersionHeader) != "2" {
+		t.Fatalf("/dist status %d version %q", rec.Code, rec.Header().Get(serve.VersionHeader))
 	}
 
 	// The prober records per-shard versions for /healthz observability.

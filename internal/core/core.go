@@ -128,9 +128,8 @@ type Result struct {
 	// SSSPTime is the elapsed wall time of the iterated modified
 	// Dijkstra loop (the paper's "Dijkstra algorithm part").
 	SSSPTime time.Duration
-	// Stats aggregates the work performed (pops, folds, edge scans);
-	// collected by the dijkstra, deltastar and lane kernels, zero for the
-	// heap kernel and SeqAdaptive.
+	// Stats aggregates the work performed (pops, folds, edge scans), as
+	// every kernel and SeqAdaptive count it (Counters).
 	Stats Counters
 	// Algorithm and Workers echo the configuration for reporting.
 	Algorithm Algorithm
@@ -213,7 +212,7 @@ func Solve(g *graph.Graph, alg Algorithm, opts Options) (*Result, error) {
 			// The adaptive variant fuses ordering into execution (the next
 			// source depends on previous reuse counts); it bypasses the
 			// staged runner by definition.
-			res.Order = runAdaptive(g, D, opts)
+			res.Order, res.Stats = runAdaptive(g, D, opts)
 			return
 		}
 		sources := src

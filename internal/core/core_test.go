@@ -353,21 +353,25 @@ func TestAlgorithmStringsRoundTrip(t *testing.T) {
 
 // TestRowReuseActuallyTriggers ensures the dynamic-programming path is
 // exercised (not just dead code that happens to be correct): on a dense
-// enough graph, the optimized order must hit the fold-in branch.
+// enough graph, the adaptive order, which ranks sources by the folds of
+// their rows, must hit the fold-in branch and report it.
 func TestRowReuseActuallyTriggers(t *testing.T) {
 	g, err := gen.BarabasiAlbert(100, 4, 14, gen.Weighting{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Count folds via the adaptive runner, which records reuse.
-	D := matrix.NewZero(g.N())
-	ord := runAdaptive(g, D, Options{})
-	if len(ord) != g.N() {
+	res, err := Solve(g, SeqAdaptive, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Order) != g.N() {
 		t.Fatal("adaptive order wrong size")
 	}
-	ref := baseline.BFSAPSP(g)
-	if !D.Equal(ref) {
+	if !res.D.Equal(baseline.BFSAPSP(g)) {
 		t.Fatal("adaptive solution wrong")
+	}
+	if res.Stats.Folds == 0 || res.Stats.Pops == 0 || res.Stats.EdgeScans == 0 {
+		t.Errorf("adaptive solve reports no reuse: %+v", res.Stats)
 	}
 }
 
@@ -448,6 +452,40 @@ func TestHeapQueueNoReuse(t *testing.T) {
 	}
 	if !res.D.Equal(ref) {
 		t.Error("heap variant without reuse wrong")
+	}
+}
+
+// TestHeapQueueCountsWork: the heap kernel reports its work like every
+// other kernel, and folding a published row replaces the expansions
+// behind it, so row reuse cuts its edge scans below half of a run without
+// reuse on a scale-free graph, unweighted and weighted.
+func TestHeapQueueCountsWork(t *testing.T) {
+	for _, w := range []gen.Weighting{{}, {Min: 1, Max: 8}} {
+		g, err := gen.BarabasiAlbert(300, 3, 16, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := baseline.DijkstraAPSP(g)
+		var scans [2]int64
+		for i, off := range []bool{false, true} {
+			res, err := Solve(g, ParAPSP, Options{Workers: 2, Kernel: KernelHeap, DisableRowReuse: off})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.D.Equal(ref) {
+				t.Fatalf("weighted=%v reuse-off=%v: heap variant wrong", g.Weighted(), off)
+			}
+			st := res.Stats
+			if st.Pops == 0 || st.EdgeScans == 0 || (st.Folds == 0) != off {
+				t.Errorf("weighted=%v reuse-off=%v: counters %+v", g.Weighted(), off, st)
+			}
+			scans[i] = st.EdgeScans
+		}
+		if 2*scans[0] >= scans[1] {
+			t.Errorf("weighted=%v: %d edge scans with reuse, %d without: want under half",
+				g.Weighted(), scans[0], scans[1])
+		}
+		t.Logf("weighted=%v: edge scans %d with reuse, %d without", g.Weighted(), scans[0], scans[1])
 	}
 }
 

@@ -9,9 +9,9 @@ import "parapsp/internal/obs"
 // replacing whole subtree expansions (EdgeScans) with single row sweeps.
 // The workstats experiment prints them side by side per configuration.
 //
-// Counters are collected by the default FIFO solver (the configuration
-// of every paper experiment), deltastar and the lane kernels; the heap
-// kernel and SeqAdaptive leave them zero.
+// Every kernel and every preset, SeqAdaptive included, collects them;
+// fields a mechanism lacks stay zero (FoldBatches outside the batched
+// FIFO solver, the Batch* fields outside the lane kernels).
 type Counters struct {
 	// Pops is the number of queue extractions across all sources,
 	// including fold-queue drains.

@@ -97,6 +97,10 @@ type scratch struct {
 	improved []int32
 	inQueue  []bool
 	stats    Counters
+	// onFold, when non-nil, is called with every completed row t a search
+	// folds. Only a Search sets it, on a scratch of its own: a pooled
+	// scratch never carries one.
+	onFold func(t int32)
 	// obsRec/obsLane are non-nil only for instrumented solves; the lane
 	// is this worker's single-writer event buffer. The disabled hot path
 	// pays one nil-check per fold drain, not per pop.
@@ -191,6 +195,9 @@ func modifiedDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scrat
 				sc.inQueue[t] = false
 				st.Pops++
 				st.Folds++
+				if sc.onFold != nil {
+					sc.onFold(t)
+				}
 				foldRow(dest, f, row, t, row[t], st)
 			}
 			folds = folds[:0]
@@ -276,6 +283,9 @@ func paperDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch,
 		if reuse && t != s && f.done(t) {
 			// Lines 6-11: fold in the completed row of t.
 			st.Folds++
+			if sc.onFold != nil {
+				sc.onFold(t)
+			}
 			foldRow(dest, f, row, t, dt, st)
 			continue
 		}
@@ -299,6 +309,38 @@ func paperDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch,
 	f.set(s)
 }
 
+// Search runs Algorithm 1 one source at a time, for a driver that picks
+// each next source itself (SeqAdaptive) or learns of completed rows from
+// elsewhere (internal/dist's simulated nodes). It folds only the rows
+// published to it: those of its own finished runs and those passed to
+// Publish.
+type Search struct {
+	g    *graph.Graph
+	dest rowDest
+	f    *flags
+	sc   *scratch
+	opts Options
+}
+
+// NewSearch returns a search that writes each source's row into D, with
+// the queue discipline and row reuse opts select. onFold, when non-nil,
+// is called with every completed row t a run folds, on the goroutine of
+// that run.
+func NewSearch(g *graph.Graph, D *matrix.Matrix, opts Options, onFold func(t int32)) *Search {
+	sc := newScratch(g.N())
+	sc.onFold = onFold
+	return &Search{g: g, dest: rowDest{m: D}, f: newFlags(g.N()), sc: sc, opts: opts}
+}
+
+// Run solves source s into its row of D and publishes the row to later
+// runs. Runs must not overlap.
+func (h *Search) Run(s int32) { modifiedDijkstra(h.g, s, h.dest, h.f, h.sc, h.opts) }
+
+// Publish makes the final row t of D foldable by later runs, and by a run
+// in progress from its next pop on. It may be called while a run is in
+// progress, but every write of row t must happen before the call.
+func (h *Search) Publish(t int32) { h.f.set(t) }
+
 // runAdaptive implements Peng et al.'s adaptive optimization as described
 // in Section 2.2 of the paper: the source order is adapted between
 // iterations, giving priority to vertices that were "actually in the
@@ -311,14 +353,16 @@ func paperDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch,
 // each iteration selects the unprocessed vertex with the highest
 // (reuseCount, degree) pair. The selection scan is O(n) per iteration —
 // the loop-carried dependence that made the paper decline to parallelize
-// this variant.
-func runAdaptive(g *graph.Graph, D *matrix.Matrix, opts Options) []int32 {
+// this variant. It returns the order it ran and the searches' counters.
+//
+// Only a processed source's row is ever folded, so every candidate's
+// count is still 0 when it is ranked: the pick is the highest degree,
+// ties to the lowest id (DESIGN.md §10).
+func runAdaptive(g *graph.Graph, D *matrix.Matrix, opts Options) ([]int32, Counters) {
 	n := g.N()
-	dest := rowDest{m: D}
-	f := newFlags(n)
-	sc := newScratch(n)
 	degrees := g.Degrees()
 	reused := make([]int64, n)
+	h := NewSearch(g, D, opts, func(t int32) { reused[t]++ })
 	processed := make([]bool, n)
 	orderOut := make([]int32, 0, n)
 
@@ -339,54 +383,9 @@ func runAdaptive(g *graph.Graph, D *matrix.Matrix, opts Options) []int32 {
 		}
 		processed[best] = true
 		orderOut = append(orderOut, best)
-		adaptiveDijkstra(g, best, dest, f, sc, reused, opts)
+		h.Run(best)
 	}
-	return orderOut
-}
-
-// adaptiveDijkstra is modifiedDijkstra with reuse accounting: each fold of
-// a completed row t increments reused[t]. It shares the fold kernel
-// dispatch and queue compaction of the main solver but not the fold
-// batching — the adaptive variant is sequential by construction, so there
-// is no published-mid-relaxation row to defer.
-func adaptiveDijkstra(g *graph.Graph, s int32, dest rowDest, f *flags, sc *scratch, reused []int64, opts Options) {
-	row := dest.begin(s)
-	q := sc.queue[:0]
-	q = append(q, s)
-	sc.inQueue[s] = true
-	head := 0
-	st := &sc.stats
-	for head < len(q) {
-		t := q[head]
-		head++
-		if head > queueCompactMin && head*2 >= len(q) {
-			q = q[:copy(q, q[head:])]
-			head = 0
-		}
-		sc.inQueue[t] = false
-		dt := row[t]
-		if !opts.DisableRowReuse && t != s && f.done(t) {
-			reused[t]++
-			foldRow(dest, f, row, t, dt, st)
-			continue
-		}
-		adj, w := g.NeighborsW(t)
-		imp := sc.improved[:0]
-		if w == nil {
-			imp = kernel.RelaxUnweighted(row, adj, matrix.AddSat(dt, 1), imp)
-		} else {
-			imp = kernel.RelaxWeighted(row, adj, w, dt, imp)
-		}
-		for _, v := range imp {
-			if !sc.inQueue[v] {
-				sc.inQueue[v] = true
-				q = append(q, v)
-			}
-		}
-		sc.improved = imp[:0]
-	}
-	sc.queue = q[:0]
-	f.set(s)
+	return orderOut, h.sc.stats
 }
 
 // dijkstraKernel registers the paper's modified Dijkstra (Algorithm 1) as

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"parapsp/internal/graph"
+	"parapsp/internal/kernel"
 	"parapsp/internal/matrix"
 )
 
@@ -57,11 +58,14 @@ func (h *distHeap) pop() (int32, matrix.Dist) {
 }
 
 // heapScratch is the per-worker state of the heap variant: the priority
-// queue plus a settled bitmap with an undo list for O(settled) reset.
+// queue, a settled bitmap with an undo list for O(settled) reset, the
+// relaxation kernels' improved-vertex buffer and the work counters.
 type heapScratch struct {
-	heap    distHeap
-	settled []bool
-	touched []int32
+	heap     distHeap
+	settled  []bool
+	touched  []int32
+	improved []int32
+	stats    Counters
 }
 
 func newHeapScratch(n int) *heapScratch {
@@ -69,11 +73,16 @@ func newHeapScratch(n int) *heapScratch {
 }
 
 // modifiedDijkstraHeap is the priority-queue formulation of Algorithm 1:
-// identical relaxations and row-combine reuse, but vertices are settled in
-// distance order (classic Dijkstra with lazy deletion) instead of the
-// paper's FIFO label-correcting order. Each vertex is therefore processed
-// at most once — the FIFO variant may reprocess a vertex whose distance
-// improved — at the price of O(log n) queue operations.
+// the same relaxations and row reuse, but vertices are settled in distance
+// order (classic Dijkstra with lazy deletion) instead of the paper's FIFO
+// label-correcting order, at the price of O(log n) queue operations.
+//
+// A popped vertex t with a final row is folded through foldRow, and the
+// vertices the fold lowered are not pushed: row t is final, so it bounds
+// every continuation through them (the argument of modifiedDijkstra). An
+// entry whose distance a fold lowered since its push is dropped at pop,
+// like an entry a later push superseded, so every vertex is settled at
+// most once, at its exact distance.
 //
 // The solutions are identical; the heap kernel's ablation measures which
 // queue discipline wins on scale-free inputs (the paper implicitly chose
@@ -81,6 +90,7 @@ func newHeapScratch(n int) *heapScratch {
 func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *heapScratch, opts Options) {
 	row := dest.begin(s)
 	reuse := !opts.DisableRowReuse
+	st := &sc.stats
 
 	sc.heap.reset()
 	for _, v := range sc.touched {
@@ -96,51 +106,30 @@ func modifiedDijkstraHeap(g *graph.Graph, s int32, dest rowDest, f *flags, sc *h
 		}
 		sc.settled[t] = true
 		sc.touched = append(sc.touched, t)
+		st.Pops++
 
 		if reuse && t != s && f.done(t) {
-			// The re-push of improved vertices keeps this loop scalar
-			// (the fold kernels update distances only), but the fold
-			// view still narrows the sweep to the published row's
-			// finite span.
-			rt := dest.row(t)
-			fv := f.view(t, rt)
-			if fv.hi-fv.lo <= 1 {
-				continue // only the diagonal: dt+0 cannot improve row[t]
-			}
-			for v := fv.lo; v < fv.hi; v++ {
-				dtv := rt[v]
-				if dtv == matrix.Inf {
-					continue
-				}
-				if nd := matrix.AddSat(dt, dtv); nd < row[v] {
-					row[v] = nd
-					// Settled-in-distance-order requires the improved
-					// vertices to re-enter the queue: unlike the FIFO
-					// variant, a later pop of v with a stale higher key
-					// would otherwise settle it before its own fold
-					// opportunities are reflected. Push keeps the
-					// distance-order invariant.
-					if !sc.settled[v] {
-						sc.heap.push(int32(v), nd)
-					}
-				}
-			}
+			st.Folds++
+			foldRow(dest, f, row, t, dt, st)
 			continue
 		}
 
 		adj, w := g.NeighborsW(t)
-		for i, v := range adj {
-			wt := matrix.Dist(1)
-			if w != nil {
-				wt = w[i]
-			}
-			if nd := matrix.AddSat(dt, wt); nd < row[v] {
-				row[v] = nd
-				if !sc.settled[v] {
-					sc.heap.push(v, nd)
-				}
+		st.EdgeScans += int64(len(adj))
+		imp := sc.improved[:0]
+		if w == nil {
+			imp = kernel.RelaxUnweighted(row, adj, matrix.AddSat(dt, 1), imp)
+		} else {
+			imp = kernel.RelaxWeighted(row, adj, w, dt, imp)
+		}
+		st.EdgeUpdates += int64(len(imp))
+		st.Enqueues += int64(len(imp))
+		for _, v := range imp {
+			if !sc.settled[v] {
+				sc.heap.push(v, row[v])
 			}
 		}
+		sc.improved = imp[:0]
 	}
 	f.set(s)
 }
@@ -181,7 +170,12 @@ func (r *heapRun) Run(w, lo, hi int) {
 	}
 }
 
-// Finish returns zero counters: the heap variant has always left the work
-// counters unpopulated (Result.Stats documents this), and the ablation
-// compares wall time, not counter streams.
-func (r *heapRun) Finish() Counters { return Counters{} }
+func (r *heapRun) Finish() Counters {
+	var total Counters
+	for _, sc := range r.scratches {
+		if sc != nil {
+			total.Add(sc.stats)
+		}
+	}
+	return total
+}

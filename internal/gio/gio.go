@@ -203,17 +203,25 @@ func WriteEdgeList(w io.Writer, g *graph.Graph, labels []int64) error {
 		}
 		return int64(v)
 	}
+	// Every line is formatted into one reused buffer, which stops growing
+	// after the first lines, so arcs do not allocate. A failed write
+	// sticks in bw, and Flush returns it.
+	var line []byte
 	for u := int32(0); u < int32(g.N()); u++ {
 		adj, wts := g.NeighborsW(u)
 		for i, v := range adj {
 			if g.Undirected() && v < u {
 				continue // each undirected edge once
 			}
+			line = strconv.AppendInt(line[:0], label(u), 10)
+			line = append(line, '\t')
+			line = strconv.AppendInt(line, label(v), 10)
 			if g.Weighted() {
-				fmt.Fprintf(bw, "%d\t%d\t%d\n", label(u), label(v), wts[i])
-			} else {
-				fmt.Fprintf(bw, "%d\t%d\n", label(u), label(v))
+				line = append(line, '\t')
+				line = strconv.AppendUint(line, uint64(wts[i]), 10)
 			}
+			line = append(line, '\n')
+			bw.Write(line)
 		}
 	}
 	return bw.Flush()

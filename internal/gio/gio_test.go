@@ -235,6 +235,38 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
+// TestWriteEdgeListMatchesFmt holds the writer to the fmt-formatted
+// reference, byte for byte, for directed and undirected, weighted and
+// unweighted graphs, with dense ids and with negative and large labels.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	for _, undirected := range []bool{false, true} {
+		for _, w := range []gen.Weighting{{}, {Min: 1, Max: 1 << 30}} {
+			g, err := gen.ErdosRenyiGNM(50, 200, undirected, 9, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			neg := make([]int64, g.N())
+			for i := range neg {
+				neg[i] = int64(i)*-7919 - 1<<40
+			}
+			neg[0] = -1
+			for _, labels := range [][]int64{nil, neg} {
+				var got, want bytes.Buffer
+				if err := WriteEdgeList(&got, g, labels); err != nil {
+					t.Fatal(err)
+				}
+				if err := refWriteEdgeList(&want, g, labels); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("undirected=%v weighted=%v labels=%v: output differs from fmt",
+						undirected, g.Weighted(), labels != nil)
+				}
+			}
+		}
+	}
+}
+
 func TestWriteWithLabels(t *testing.T) {
 	g, err := graph.FromPairs(2, false, [][2]int32{{0, 1}})
 	if err != nil {

@@ -109,3 +109,35 @@ func sameGraph(a, b *graph.Graph) bool {
 	}
 	return true
 }
+
+// refWriteEdgeList is WriteEdgeList with every arc formatted by
+// fmt.Fprintf: the reference the byte-appending writer must match.
+func refWriteEdgeList(w io.Writer, g *graph.Graph, labels []int64) error {
+	bw := bufio.NewWriter(w)
+	kind := "Directed"
+	if g.Undirected() {
+		kind = "Undirected"
+	}
+	fmt.Fprintf(bw, "# %s graph: %d nodes, %d edges\n", kind, g.N(), g.NumEdges())
+	fmt.Fprintf(bw, "# FromNodeId\tToNodeId%s\n", map[bool]string{true: "\tWeight", false: ""}[g.Weighted()])
+	label := func(v int32) int64 {
+		if labels != nil {
+			return labels[v]
+		}
+		return int64(v)
+	}
+	for u := int32(0); u < int32(g.N()); u++ {
+		adj, wts := g.NeighborsW(u)
+		for i, v := range adj {
+			if g.Undirected() && v < u {
+				continue
+			}
+			if g.Weighted() {
+				fmt.Fprintf(bw, "%d\t%d\t%d\n", label(u), label(v), wts[i])
+			} else {
+				fmt.Fprintf(bw, "%d\t%d\n", label(u), label(v))
+			}
+		}
+	}
+	return bw.Flush()
+}

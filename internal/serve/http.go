@@ -16,24 +16,27 @@ import (
 	"parapsp/internal/obs"
 )
 
-// maxBodyBytes bounds a /batch request body; MaxBytesReader turns larger
-// bodies into a read error, which parses as a 400.
-const maxBodyBytes = 1 << 20
+// The wire names below are shared with the cluster router, which speaks
+// the same API in front of the shards.
 
-// solverHeader reports which machinery answered a query request:
+// MaxBodyBytes bounds a /batch request body; MaxBytesReader turns larger
+// bodies into a read error, which parses as a 400.
+const MaxBodyBytes = 1 << 20
+
+// SolverHeader reports which machinery answered a query request:
 // "batch" (multi-source batch engine), "scalar" (per-source subset
 // solver), or "cache" (no solve ran). See the Solver* constants.
-const solverHeader = "X-Parapsp-Solver"
+const SolverHeader = "X-Parapsp-Solver"
 
-// versionHeader carries the graph version a response was computed at: the
+// VersionHeader carries the graph version a response was computed at: the
 // pinned snapshot version for queries, the newly published version for
 // mutations, and the current version for /healthz and /metrics. Monotonic
 // per shard; a cluster router uses it to refuse merging answers computed
 // at different versions.
-const versionHeader = "X-Parapsp-Graph-Version"
+const VersionHeader = "X-Parapsp-Graph-Version"
 
 func setVersion(w http.ResponseWriter, ver uint64) {
-	w.Header().Set(versionHeader, strconv.FormatUint(ver, 10))
+	w.Header().Set(VersionHeader, strconv.FormatUint(ver, 10))
 }
 
 // httpServerRef holds the http.Server behind a Serve call so Shutdown can
@@ -122,7 +125,7 @@ type errorBody struct {
 // only serve-specific errors (parse, mutation conflicts, validation) are
 // mapped here.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	if w.Header().Get(versionHeader) == "" {
+	if w.Header().Get(VersionHeader) == "" {
 		setVersion(w, s.Version())
 	}
 	if d, ok := admit.Classify(err); ok {
@@ -181,7 +184,7 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		w.Header().Set(solverHeader, kind)
+		w.Header().Set(SolverHeader, kind)
 		setVersion(w, ver)
 		writeJSON(w, http.StatusOK, as[0])
 	})
@@ -209,7 +212,7 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		w.Header().Set(solverHeader, kind)
+		w.Header().Set(SolverHeader, kind)
 		setVersion(w, ver)
 		body := pathBody{Answer: ans, Path: path, Hops: len(path) - 1}
 		if path == nil {
@@ -234,7 +237,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
 			s.m.badRequests.Add(1)
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "body: " + err.Error()})
@@ -250,7 +253,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		w.Header().Set(solverHeader, kind)
+		w.Header().Set(SolverHeader, kind)
 		setVersion(w, ver)
 		writeJSON(w, http.StatusOK, batchBody{Answers: as})
 	})
@@ -262,7 +265,7 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 			return
 		}
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
 			s.m.badRequests.Add(1)
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "body: " + err.Error()})

@@ -99,7 +99,7 @@ func TestSolverKindAutoKernel(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /dist: status %d: %s", rec.Code, rec.Body.String())
 	}
-	got := rec.Header().Get(solverHeader)
+	got := rec.Header().Get(SolverHeader)
 	_, name, _ := strings.Cut(got, "/")
 	if name == core.KernelAuto || name == "" {
 		t.Fatalf("cold /dist header %q does not name the resolved kernel", got)
@@ -130,13 +130,13 @@ func TestSolverKindHeader(t *testing.T) {
 	}
 
 	coldKind := SolverScalar + "/" + core.KernelDijkstra
-	if got := get("/dist?u=5&v=9").Header().Get(solverHeader); got != coldKind {
+	if got := get("/dist?u=5&v=9").Header().Get(SolverHeader); got != coldKind {
 		t.Fatalf("cold /dist header %q, want %q", got, coldKind)
 	}
-	if got := get("/dist?u=5&v=10").Header().Get(solverHeader); got != SolverCache {
+	if got := get("/dist?u=5&v=10").Header().Get(SolverHeader); got != SolverCache {
 		t.Fatalf("warm /dist header %q, want %q", got, SolverCache)
 	}
-	if got := get("/path?u=5&v=9").Header().Get(solverHeader); got != SolverCache {
+	if got := get("/path?u=5&v=9").Header().Get(SolverHeader); got != SolverCache {
 		t.Fatalf("warm /path header %q, want %q", got, SolverCache)
 	}
 
@@ -150,7 +150,7 @@ func TestSolverKindHeader(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("POST /batch: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := rec.Header().Get(solverHeader); got != SolverBatch+"/"+core.KernelMSBFS {
+	if got := rec.Header().Get(SolverHeader); got != SolverBatch+"/"+core.KernelMSBFS {
 		t.Fatalf("cold /batch header %q, want batch/msbfs", got)
 	}
 }

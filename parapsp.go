@@ -321,8 +321,16 @@ func PageRank(g *Graph, damping, tol float64, maxIter, workers int) []float64 {
 	return analysis.PageRank(g, damping, tol, maxIter, workers)
 }
 
-// SSSP computes one single-source distance row without APSP bookkeeping.
-func SSSP(g *Graph, source int32) []Dist { return analysis.SSSPDistances(g, source) }
+// SSSP computes one single-source distance row: the row of a one-source
+// subset solve, which runs the paper's modified Dijkstra. source must be a
+// vertex of g; like D.Row, SSSP panics on one out of range.
+func SSSP(g *Graph, source int32) []Dist {
+	res, err := core.SolveSubset(g, []int32{source}, core.Options{Workers: 1})
+	if err != nil {
+		panic(err)
+	}
+	return res.Row(source)
+}
 
 // DistanceOracle answers approximate distance queries from landmark rows
 // in O(k*n) memory — the regime past the O(n^2) APSP memory wall.

@@ -103,6 +103,24 @@ func TestBuilderAndEdges(t *testing.T) {
 	}
 }
 
+func TestSSSPDistances(t *testing.T) {
+	g, err := FromEdges(4, false, []Edge{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1}, {From: 2, To: 3, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := SSSP(g, 0)
+	want := []Dist{0, 1, 2, 3}
+	for i := range want {
+		if d[i] != want[i] {
+			t.Errorf("dist[%d] = %d, want %d", i, d[i], want[i])
+		}
+	}
+	d2 := SSSP(g, 3)
+	if d2[0] != Inf {
+		t.Error("backward distance finite on directed path")
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g, err := GenerateErdosRenyi(40, 100, true, 4)
 	if err != nil {
